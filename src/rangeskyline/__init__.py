@@ -22,7 +22,6 @@ from rangeskyline.kinematics import (
     WaypointPlan,
     monitoring_interval,
     position_at,
-    rwp_step,
     safe_interval,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "point_skyline",
     "position_at",
     "range_skyline",
-    "rwp_step",
     "safe_interval",
 ]

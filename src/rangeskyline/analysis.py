@@ -63,19 +63,6 @@ class CostParams:
             if not 0.0 < p <= 1.0:
                 raise ValueError("hop probabilities must lie in (0, 1]")
 
-    @staticmethod
-    def with_constant_p(
-        n_nodes: int,
-        area: float,
-        query_range: float,
-        transmission_range: float,
-        p: float = 1.0,
-        **kwargs,
-    ) -> CostParams:
-        return CostParams(
-            n_nodes, area, query_range, transmission_range, hop_probs=(p,), **kwargs
-        )
-
     @property
     def nodes_in_query_range(self) -> int:
         n = density(self.n_nodes, self.area, self.query_range)

@@ -29,6 +29,7 @@ from rangeskyline.netsim import (
 from rangeskyline.protocols import (
     MODE_CENTRALIZED,
     MODE_DISTRIBUTED,
+    TIMEOUT_FACTOR,
     QueryDescriptor,
     QueryProtocol,
 )
@@ -68,6 +69,16 @@ class Scenario:
     sim_horizon: float = 60.0
     seed: int = 1
     replications: int = 20
+
+    def __post_init__(self) -> None:
+        if self.node_count < 1:
+            raise ValueError("node_count must be >= 1")
+        if self.query_count < 1:
+            raise ValueError("query_count must be >= 1")
+        if self.report_interval <= 0:
+            raise ValueError("report_interval must be > 0")
+        if self.speed_min > self.speed_max:
+            raise ValueError("speed_min must not exceed speed_max")
 
     @property
     def area(self) -> float:
@@ -330,7 +341,7 @@ def run_scenario(scenario: Scenario, seed: object, approach: str) -> RunResult:
 
 def collection_timeout(scenario: Scenario, ttl: int) -> float:
     link_delay = scenario.packet_size_bits / scenario.bandwidth_bps + scenario.per_hop_latency
-    return 4.0 * (ttl + 1) * link_delay
+    return TIMEOUT_FACTOR * (ttl + 1) * link_delay
 
 
 def default_approaches(scenario: Scenario) -> tuple[str, ...]:

@@ -217,7 +217,3 @@ class WaypointPlan:
             if t0 < leg.t_start <= end and leg.t_start > 0.0
         ]
 
-
-def rwp_step(plan: WaypointPlan, t: float) -> MotionState:
-    """Motion state (position, current leg velocity) of the plan at time t."""
-    return plan.motion_state_at(t)

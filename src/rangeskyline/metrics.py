@@ -12,11 +12,12 @@ instant by instant and integrate over the window.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from rangeskyline.kinematics import WaypointPlan
 from rangeskyline.netsim import NodeRuntime
-from rangeskyline.protocols import Timeline, predict_timeline
+from rangeskyline.protocols import Timeline, extend_timeline, predict_timeline
 from rangeskyline.skyline import DataObject
 
 
@@ -33,6 +34,9 @@ def oracle_timeline(
         (n for n in nodes if n.attrs is not None and n.id != issuer_id),
         key=lambda n: n.id,
     )
+    if t0 == t_end:
+        segs = _epoch_segments(issuer, sensors, range_R, t0, t0)
+        return [(frozenset(o.id for o in segs[0][0]), (t0, t_end))]
     epochs = {t0, t_end}
     for n in [issuer, *sensors]:
         for t in n.plan.leg_change_times(t0, t_end):
@@ -40,56 +44,68 @@ def oracle_timeline(
     marks = sorted(epochs)
     out: Timeline = []
     for a, b in zip(marks, marks[1:]):
-        segs = _epoch_segments(issuer, sensors, range_R, a, b)
-        for sky, span in segs:
-            ids = frozenset(o.id for o in sky)
-            if out and out[-1][0] == ids:
-                prev, (pa, _) = out[-1]
-                out[-1] = (prev, (pa, span[1]))
-            else:
-                out.append((ids, span))
-    if t0 == t_end:
-        segs = _epoch_segments(issuer, sensors, range_R, t0, t0)
-        out = [(frozenset(o.id for o in segs[0][0]), (t0, t_end))]
+        for sky, span in _epoch_segments(issuer, sensors, range_R, a, b):
+            extend_timeline(out, frozenset(o.id for o in sky), *span)
     return out or [(frozenset(), (t0, t_end))]
 
 
 def _epoch_segments(issuer, sensors, range_R, a, b):
     center = issuer.motion_state(a)
-    objs = [
-        DataObject(n.id, *_anchored(n.plan, a), n.attrs, a)
-        for n in sensors
-    ]
+    objs = []
+    for n in sensors:
+        state = n.motion_state(a)
+        objs.append(DataObject(n.id, state.position, state.velocity, n.attrs, a))
     return predict_timeline(center, range_R, objs, (a, b), a)
-
-
-def _anchored(plan: WaypointPlan, t: float):
-    state = plan.motion_state_at(t)
-    return state.position, state.velocity
 
 
 def timeline_ids(timeline: Timeline) -> Timeline:
     """Normalize a timeline of object sets into one of id sets."""
     out: Timeline = []
-    for sky, span in timeline:
+    for sky, (a, b) in timeline:
         ids = frozenset(o.id if isinstance(o, DataObject) else o for o in sky)
-        if out and out[-1][0] == ids:
-            prev, (pa, _) = out[-1]
-            out[-1] = (prev, (pa, span[1]))
-        else:
-            out.append((ids, span))
+        extend_timeline(out, ids, a, b)
     return out
 
 
-def _value_at(timeline: Timeline, t: float) -> frozenset:
-    for sky, (a, b) in timeline:
-        if a <= t <= b:
-            return sky
-    if timeline:
-        if t < timeline[0][1][0]:
-            return timeline[0][0]
-        return timeline[-1][0]
-    return frozenset()
+def timeline_lookup(timeline: Timeline) -> Callable[[float], frozenset]:
+    """The set an ordered timeline holds at any instant t.
+
+    That is the set of the first segment whose closed span holds t; before
+    the timeline it is the first set, and in a gap or after the end the last
+    set.  Bisection on the segment ends finds it.
+    """
+    ends = [b for _, (_, b) in timeline]
+
+    def value_at(t: float) -> frozenset:
+        i = bisect_left(ends, t)
+        if i < len(ends) and timeline[i][1][0] <= t:
+            return timeline[i][0]
+        if not timeline:
+            return frozenset()
+        return timeline[0][0] if i == 0 else timeline[-1][0]
+
+    return value_at
+
+
+def _elementary_intervals(result: Timeline, oracle: Timeline, window: tuple[float, float]):
+    """(a, b, result set, oracle set) for each piece of the window between
+    consecutive segment boundaries of either timeline."""
+    t0, t_end = window
+    res = timeline_ids(result)
+    orc = timeline_ids(oracle)
+    cuts = {t0, t_end}
+    for tl in (res, orc):
+        for _, (a, b) in tl:
+            if t0 < a < t_end:
+                cuts.add(a)
+            if t0 < b < t_end:
+                cuts.add(b)
+    marks = sorted(cuts)
+    res_at = timeline_lookup(res)
+    orc_at = timeline_lookup(orc)
+    for a, b in zip(marks, marks[1:]):
+        mid = (a + b) / 2.0
+        yield a, b, res_at(mid), orc_at(mid)
 
 
 @dataclass(frozen=True)
@@ -109,26 +125,14 @@ def precision_recall(
     Degenerate windows compare the two sets at the single instant.
     """
     t0, t_end = window
-    res = timeline_ids(result)
-    orc = timeline_ids(oracle)
     if t0 == t_end:
-        p, r = _instant_scores(_value_at(res, t0), _value_at(orc, t0))
+        got = timeline_lookup(timeline_ids(result))(t0)
+        p, r = _instant_scores(got, timeline_lookup(timeline_ids(oracle))(t0))
         return Accuracy(p, r)
-    cuts = {t0, t_end}
-    for tl in (res, orc):
-        for _, (a, b) in tl:
-            if t0 < a < t_end:
-                cuts.add(a)
-            if t0 < b < t_end:
-                cuts.add(b)
-    marks = sorted(cuts)
     p_area = 0.0
     r_area = 0.0
-    for a, b in zip(marks, marks[1:]):
-        if b <= a:
-            continue
-        mid = (a + b) / 2.0
-        p, r = _instant_scores(_value_at(res, mid), _value_at(orc, mid))
+    for a, b, got, truth in _elementary_intervals(result, oracle, window):
+        p, r = _instant_scores(got, truth)
         p_area += p * (b - a)
         r_area += r * (b - a)
     span = t_end - t0
@@ -149,28 +153,11 @@ def divergence_intervals(
     result: Timeline, oracle: Timeline, window: tuple[float, float]
 ) -> list[tuple[float, float]]:
     """Maximal sub-intervals of the window where the two timelines disagree."""
-    t0, t_end = window
-    res = timeline_ids(result)
-    orc = timeline_ids(oracle)
-    cuts = {t0, t_end}
-    for tl in (res, orc):
-        for _, (a, b) in tl:
-            if t0 < a < t_end:
-                cuts.add(a)
-            if t0 < b < t_end:
-                cuts.add(b)
-    marks = sorted(cuts)
-    bad: list[tuple[float, float]] = []
-    for a, b in zip(marks, marks[1:]):
-        if b <= a:
-            continue
-        mid = (a + b) / 2.0
-        if _value_at(res, mid) != _value_at(orc, mid):
-            if bad and bad[-1][1] == a:
-                bad[-1] = (bad[-1][0], b)
-            else:
-                bad.append((a, b))
-    return bad
+    bad: Timeline = []
+    for a, b, got, truth in _elementary_intervals(result, oracle, window):
+        if got != truth:
+            extend_timeline(bad, frozenset(), a, b)
+    return [span for _, span in bad]
 
 
 def change_points(timeline: Timeline, window: tuple[float, float]) -> list[float]:

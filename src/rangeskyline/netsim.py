@@ -80,7 +80,6 @@ class Message:
     payload: object = None
     generation: int = 0
     initial: bool = False
-    path: tuple[int, ...] = ()
 
     @property
     def object_id(self) -> object:
@@ -89,7 +88,11 @@ class Message:
 
 
 class NodeRuntime:
-    """Per-node simulation state: motion plan, sensed data, query buffer."""
+    """Per-node simulation state: motion plan, sensed data, query buffer.
+
+    The query buffer maps query ids to whatever per-query entry the protocol
+    keeps; the engine only bounds how many distinct queries a node holds.
+    """
 
     def __init__(
         self,
@@ -104,7 +107,6 @@ class NodeRuntime:
         self.buffer_limit = buffer_limit
         self.query_buffer: dict[int, object] = {}
         self.tx_busy_until = 0.0
-        self.state: dict = {}
 
     def motion_state(self, t: float) -> MotionState:
         return self.plan.motion_state_at(t)
@@ -115,14 +117,11 @@ class NodeRuntime:
     def leg_seq(self, t: float) -> int:
         return self.plan.leg_index_at(t)
 
-    def store_query(self, query_id: int, descriptor: object) -> bool:
-        """Buffer a query descriptor; refuses new queries past the limit."""
-        if query_id in self.query_buffer:
-            self.query_buffer[query_id] = descriptor
-            return True
-        if len(self.query_buffer) >= self.buffer_limit:
+    def store_query(self, query_id: int, entry: object) -> bool:
+        """Buffer a query's entry; refuses new queries past the limit."""
+        if query_id not in self.query_buffer and len(self.query_buffer) >= self.buffer_limit:
             return False
-        self.query_buffer[query_id] = descriptor
+        self.query_buffer[query_id] = entry
         return True
 
 
@@ -254,7 +253,7 @@ class Simulator:
             self.stats.lost[msg.msg_type] += 1
             self._trace_msg(EVENT_MESSAGE_LOST, msg, receiver)
             return False
-        delivered = replace(msg, dest=receiver, path=msg.path + (sender,))
+        delivered = replace(msg, dest=receiver)
         if msg.initial:
             self._pending_initial[msg.query_id] += 1
         self.schedule(arrive, EVENT_MESSAGE, delivered)

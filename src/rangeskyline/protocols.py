@@ -30,6 +30,7 @@ from rangeskyline.kinematics import (
     MotionState,
     SafeInterval,
     monitoring_interval,
+    position_at,
     safe_interval,
 )
 from rangeskyline.netsim import (
@@ -49,8 +50,10 @@ from rangeskyline.netsim import (
 from rangeskyline.skyline import (
     DataObject,
     QuerySnapshot,
+    keep_newest,
     merge_prune,
     point_skyline,
+    skyline_rows,
 )
 
 MODE_DISTRIBUTED = "distributed"
@@ -91,15 +94,22 @@ class QueryDescriptor:
 Timeline = list[tuple[frozenset, tuple[float, float]]]
 
 
-def center_position(center: MotionState, t: float) -> tuple[float, float]:
-    dt = t - center.valid_from
-    return (center.position[0] + center.velocity[0] * dt,
-            center.position[1] + center.velocity[1] * dt)
+def extend_timeline(out: Timeline, sky: frozenset, a: float, b: float) -> None:
+    """Append the segment (sky, (a, b)) to out.
+
+    It is merged into the last segment when that holds the same set and ends
+    exactly at a; zero-length segments are kept like any other.
+    """
+    if out and out[-1][0] == sky and out[-1][1][1] == a:
+        prev, (pa, _) = out[-1]
+        out[-1] = (prev, (pa, b))
+    else:
+        out.append((sky, (a, b)))
 
 
 def _center_offsets(center: MotionState, obj: DataObject, at: float):
     """Relative offset and velocity of obj w.r.t. the moving center at `at`."""
-    cx, cy = center_position(center, at)
+    cx, cy = position_at(center, at)
     ox, oy = obj.position_at(at)
     return (
         (ox - cx, oy - cy),
@@ -140,11 +150,10 @@ def _skyline_at(
 ) -> frozenset:
     """Range-skyline of the carried objects with positions advanced to t.
 
-    Same strict Pareto semantics as the generic skyline path, specialized to
-    precomputed (distance, canonical attrs) rows; the hot inner loop of every
-    segment evaluation.
+    Builds the (distance, canonical attrs) rows for the shared skyline kernel;
+    the hot inner loop of every segment evaluation.
     """
-    cx, cy = center_position(center, t)
+    cx, cy = position_at(center, t)
     rows: list[tuple[float, tuple[float, ...], DataObject]] = []
     for o in objects:
         ox, oy = o.position_at(t)
@@ -152,18 +161,7 @@ def _skyline_at(
         if pre_filtered or d <= range_R:
             key = canon[o.id] if canon is not None else o.attrs.canonical()
             rows.append((d, key, o))
-    keep = []
-    for d, key, o in rows:
-        dominated = False
-        for d2, key2, o2 in rows:
-            if o2 is o or d2 > d:
-                continue
-            if all(x <= y for x, y in zip(key2, key)) and (d2 < d or key2 != key):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(o)
-    return frozenset(keep)
+    return frozenset(skyline_rows(rows))
 
 
 def predict_timeline(
@@ -215,16 +213,10 @@ def predict_timeline(
     marks = sorted(cuts)
     out: Timeline = []
     for a, b in zip(marks, marks[1:]):
-        if b <= a:
-            continue
         mid = (a + b) / 2.0
         members = [o for o in live if spans[o.id].contains(mid)]
         sky = _skyline_at(center, range_R, members, mid, pre_filtered=True, canon=canon)
-        if out and out[-1][0] == sky:
-            prev_set, (pa, _) = out[-1]
-            out[-1] = (prev_set, (pa, b))
-        else:
-            out.append((sky, (a, b)))
+        extend_timeline(out, sky, a, b)
     return out or [(frozenset(), (lo, hi))]
 
 
@@ -252,9 +244,7 @@ class SensorQueryState:
     last_sent: frozenset = frozenset()
 
     def absorb(self, obj: DataObject) -> None:
-        kept = self.known.get(obj.id)
-        if kept is None or obj.observed_at > kept.observed_at:
-            self.known[obj.id] = obj
+        keep_newest(self.known, obj)
 
 
 @dataclass
@@ -274,9 +264,7 @@ class QueryOutcome:
     low_confidence: bool = False
 
     def absorb(self, obj: DataObject) -> None:
-        kept = self.known.get(obj.id)
-        if kept is None or obj.observed_at > kept.observed_at:
-            self.known[obj.id] = obj
+        keep_newest(self.known, obj)
 
     def realized_timeline(self) -> Timeline:
         """What the issuer believed at each instant of the window."""
@@ -286,13 +274,8 @@ class QueryOutcome:
         out: Timeline = []
 
         def push(sky: frozenset, a: float, b: float) -> None:
-            if b <= a:
-                return
-            if out and out[-1][0] == sky and out[-1][1][1] == a:
-                prev, (pa, _) = out[-1]
-                out[-1] = (prev, (pa, b))
-            else:
-                out.append((sky, (a, b)))
+            if b > a:
+                extend_timeline(out, sky, a, b)
 
         edits = [(t, tl) for t, tl in self.history if t <= t_end]
         cursor = t0
@@ -412,7 +395,7 @@ class QueryProtocol:
         qid = desc.query_id
         desc = replace(desc, issuer_state=self.sim.nodes[desc.issuer].motion_state(t))
         self.outcomes[qid] = QueryOutcome(descriptor=desc, issue_time=t)
-        self.sim.nodes[desc.issuer].store_query(qid, desc)
+        self.sim.nodes[desc.issuer].store_query(qid, SensorQueryState(descriptor=desc))
         self.sim.flood(
             desc.issuer,
             Message(MSG_QUERY, desc.issuer, BROADCAST, desc.ttl, qid, payload=desc, initial=True),
@@ -436,7 +419,7 @@ class QueryProtocol:
             generation=outcome.descriptor.generation + 1,
         )
         outcome.descriptor = desc
-        self.sim.nodes[desc.issuer].store_query(qid, desc)
+        self.sim.nodes[desc.issuer].store_query(qid, SensorQueryState(descriptor=desc))
         self.sim.flood(
             desc.issuer,
             Message(MSG_QUERY, desc.issuer, BROADCAST, desc.ttl, qid, payload=desc,
@@ -464,19 +447,15 @@ class QueryProtocol:
         if outcome is not None and node_id == outcome.descriptor.issuer:
             return
         node = self.sim.nodes[node_id]
-        fresh = qid not in node.query_buffer
-        if not node.store_query(qid, desc):
-            return
-        state = node.state.get(qid)
-        if state is None:
-            state = SensorQueryState(descriptor=desc)
-            node.state[qid] = state
-        else:
-            state.descriptor = desc
-        if not fresh:
+        state = node.query_buffer.get(qid)
+        if state is not None:
             # re-announcement: the center trajectory changed
+            state.descriptor = desc
             if self.mode == MODE_DISTRIBUTED and not desc.is_snapshot:
                 self._monitor_tick(node_id, state, t)
+            return
+        state = SensorQueryState(descriptor=desc)
+        if not node.store_query(qid, state):
             return
         if self.mode == MODE_CENTRALIZED:
             if node.attrs is not None:
@@ -500,7 +479,7 @@ class QueryProtocol:
 
     def _on_deadline(self, payload: dict, t: float) -> None:
         node_id, qid = payload["node"], payload["query_id"]
-        state = self.sim.nodes[node_id].state.get(qid)
+        state = self.sim.nodes[node_id].query_buffer.get(qid)
         if state is None or state.replied:
             return
         self._first_reply(node_id, state, t, initial=True)
@@ -513,7 +492,7 @@ class QueryProtocol:
             self._send_up(node_id, state.descriptor.query_id, batch, MSG_REPLY, initial=initial)
 
     def _sensor_receive(self, node_id: int, msg: Message, t: float) -> None:
-        state = self.sim.nodes[node_id].state.get(msg.query_id)
+        state = self.sim.nodes[node_id].query_buffer.get(msg.query_id)
         if state is None:
             # plain relay on the reverse path, no local processing
             self.sim.reverse_forward(node_id, replace(msg, source=node_id))
@@ -545,7 +524,7 @@ class QueryProtocol:
         desc = state.descriptor
         if desc.is_snapshot:
             pool = set(state.known.values())
-            q = QuerySnapshot(center_position(desc.issuer_state, desc.window[0]), desc.range_R)
+            q = QuerySnapshot(position_at(desc.issuer_state, desc.window[0]), desc.range_R)
             return sorted(point_skyline(q, pool), key=lambda o: o.id)
         timeline = predict_timeline(
             desc.issuer_state, desc.range_R, list(state.known.values()), desc.window, t
@@ -621,7 +600,7 @@ class QueryProtocol:
         desc = outcome.descriptor
         outcome.response_time = t - outcome.issue_time
         outcome.low_confidence = not outcome.known
-        q = QuerySnapshot(center_position(desc.issuer_state, desc.window[0]), desc.range_R)
+        q = QuerySnapshot(position_at(desc.issuer_state, desc.window[0]), desc.range_R)
         outcome.final_snapshot = frozenset(merge_prune(q, [set(outcome.known.values())]))
 
     def _on_collection_complete(self, qid: int, t: float) -> None:
@@ -656,12 +635,16 @@ class QueryProtocol:
 
     def _touch_holders_near(self, moved: int, t: float) -> None:
         for nid in sorted(self.sim.neighbors_of(moved, t)) + [moved]:
-            node = self.sim.nodes[nid]
-            for qid in sorted(node.state):
-                outcome = self.outcomes.get(qid)
-                if outcome is not None and nid == outcome.descriptor.issuer:
-                    continue
-                self._monitor_tick(nid, node.state[qid], t)
+            self._tick_held_queries(nid, t)
+
+    def _tick_held_queries(self, nid: int, t: float) -> None:
+        """Monitor tick for every query nid holds as a sensor, not as issuer."""
+        node = self.sim.nodes[nid]
+        for qid in sorted(node.query_buffer):
+            outcome = self.outcomes.get(qid)
+            if outcome is not None and nid == outcome.descriptor.issuer:
+                continue
+            self._monitor_tick(nid, node.query_buffer[qid], t)
 
     def _on_trigger(self, payload: dict, t: float) -> None:
         if "recompute" in payload:
@@ -679,29 +662,23 @@ class QueryProtocol:
         self._piggyback(a, b, t)
         self._piggyback(b, a, t)
         for nid in (min(a, b), max(a, b)):
-            node = self.sim.nodes[nid]
-            for qid in sorted(node.state):
-                outcome = self.outcomes.get(qid)
-                if outcome is not None and nid == outcome.descriptor.issuer:
-                    continue
-                self._monitor_tick(nid, node.state[qid], t)
+            self._tick_held_queries(nid, t)
 
     def _piggyback(self, holder: int, learner: int, t: float) -> None:
         """A node entering a holder's range learns its active queries free."""
         giver = self.sim.nodes[holder]
         taker = self.sim.nodes[learner]
         for qid in sorted(giver.query_buffer):
-            desc = giver.query_buffer[qid]
-            if not isinstance(desc, QueryDescriptor) or desc.is_snapshot:
+            desc = giver.query_buffer[qid].descriptor
+            if desc.is_snapshot or self._expired(desc, t):
                 continue
-            if self._expired(desc, t) or qid in taker.query_buffer or learner == desc.issuer:
+            if qid in taker.query_buffer or learner == desc.issuer:
                 continue
-            if not taker.store_query(qid, desc):
+            state = SensorQueryState(descriptor=desc, replied=True)
+            if not taker.store_query(qid, state):
                 continue
             if (learner, qid) not in self.sim.reverse_parent:
                 self.sim.reverse_parent[(learner, qid)] = holder
-            state = SensorQueryState(descriptor=desc, replied=True)
-            taker.state[qid] = state
             self._monitor_tick(learner, state, t)
 
     def _on_periodic_round(self, payload: dict, t: float) -> None:
@@ -736,9 +713,7 @@ class QueryProtocol:
                 self._issuer_recompute(outcome, t)
             return
         for nid in sorted(self.sim.nodes):
-            node = self.sim.nodes[nid]
-            node.query_buffer.pop(qid, None)
-            node.state.pop(qid, None)
+            self.sim.nodes[nid].query_buffer.pop(qid, None)
 
     @staticmethod
     def _expired(desc: QueryDescriptor, t: float) -> bool:

@@ -9,10 +9,15 @@ Fully equivalent objects do not dominate each other, so both stay in a skyline.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import TypeVar
 
 MINIMIZE = "min"
 MAXIMIZE = "max"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ def non_spatial_dominates(a: AttributeVector, b: AttributeVector) -> bool:
     """True iff a is no worse than b in every attribute dimension.
 
     Equal vectors satisfy this; strictness is resolved at the combined
-    (distance, attrs) level in dominates_wrt.
+    (distance, attrs) level in skyline_rows.
     """
     if len(a.values) != len(b.values):
         raise ValueError("attribute dimensionality mismatch")
@@ -99,29 +104,43 @@ def non_spatial_dominates(a: AttributeVector, b: AttributeVector) -> bool:
     return all(x <= y for x, y in zip(a.canonical(), b.canonical()))
 
 
+def skyline_rows(rows: Iterable[tuple[float, tuple[float, ...], T]]) -> list[T]:
+    """Payloads of the undominated (distance, canonical attrs, payload) rows.
+
+    Sort-filter skyline (Chomicki, Godfrey, Gryz & Liang, ICDE 2003): rows are
+    presorted by (distance, attrs), so every dominator precedes the rows it
+    dominates and each row is checked only against the rows kept so far.
+    A kept row dominates a later one when its attributes are no worse and the
+    two rows differ; its distance is no larger by the sort order.
+    """
+    kept: list[tuple[float, tuple[float, ...], T]] = []
+    for row in sorted(rows, key=itemgetter(0, 1)):
+        d, key, _ = row
+        for d2, key2, _ in kept:
+            if all(x <= y for x, y in zip(key2, key)) and (d2 < d or key2 != key):
+                break
+        else:
+            kept.append(row)
+    return [payload for _, _, payload in kept]
+
+
+def point_skyline(q: QuerySnapshot, objs: Iterable[DataObject]) -> set[DataObject]:
+    """Objects not dominated by any other input object w.r.t. q."""
+    items = list(objs)
+    if len({o.attrs.directions for o in items}) > 1:
+        raise ValueError("attribute dimensionality or direction mismatch")
+    return set(
+        skyline_rows((distance(q.q_position, o.position), o.attrs.canonical(), o) for o in items)
+    )
+
+
 def dominates_wrt(q: QuerySnapshot, a: DataObject, b: DataObject) -> bool:
     """True iff a dominates b with respect to the query point q.
 
-    Requires a no worse than b in all attributes, no farther from q, and
-    strictly better in at least one component of the combined vector.
+    That is, b drops out of the skyline of the pair: a is no worse in all
+    attributes, no farther from q, and strictly better somewhere.
     """
-    if not non_spatial_dominates(a.attrs, b.attrs):
-        return False
-    da = distance(q.q_position, a.position)
-    db = distance(q.q_position, b.position)
-    if da > db:
-        return False
-    return da < db or a.attrs.canonical() != b.attrs.canonical()
-
-
-def point_skyline(q: QuerySnapshot, objs: set[DataObject]) -> set[DataObject]:
-    """Objects not dominated by any other input object w.r.t. q."""
-    items = list(objs)
-    out: set[DataObject] = set()
-    for o in items:
-        if not any(other is not o and dominates_wrt(q, other, o) for other in items):
-            out.add(o)
-    return out
+    return b not in point_skyline(q, (a, b))
 
 
 def in_range(q: QuerySnapshot, obj: DataObject) -> bool:
@@ -150,7 +169,13 @@ def merge_prune(
     newest: dict[int, DataObject] = {}
     for part in partials:
         for o in part:
-            kept = newest.get(o.id)
-            if kept is None or o.observed_at > kept.observed_at:
-                newest[o.id] = o
+            keep_newest(newest, o)
     return range_skyline(q, set(newest.values()))
+
+
+def keep_newest(table: dict[int, DataObject], obj: DataObject) -> None:
+    """Store obj under its id unless the table already holds a record at
+    least as new."""
+    kept = table.get(obj.id)
+    if kept is None or obj.observed_at > kept.observed_at:
+        table[obj.id] = obj

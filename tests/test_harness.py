@@ -225,6 +225,24 @@ def test_cli_rejects_unreadable_scenario(tmp_path):
     assert "error" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "report_interval = 0",
+        "node_count = -3",
+        "query_count = 0",
+        "speed_min = 12",
+    ],
+)
+def test_cli_rejects_invalid_scenario(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    proc = run_cli("run", "--preset", "scenario2", "--scenario", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_run_trace_is_deterministic(tmp_path):
     cfg = _mini_cfg(tmp_path)
     outs = []

@@ -11,7 +11,6 @@ from rangeskyline.kinematics import (
     WaypointPlan,
     monitoring_interval,
     position_at,
-    rwp_step,
     safe_interval,
 )
 
@@ -220,7 +219,7 @@ def test_single_leg_midpoint_position():
         (0.0, 0.0), (10.0, 10.0), (2.0, 2.0), 5.0,
         random.Random(0), waypoints=[(10.0, 0.0)], speeds=[2.0],
     )
-    assert rwp_step(plan, 3.0).position == pytest.approx((6.0, 0.0))
+    assert plan.motion_state_at(3.0).position == pytest.approx((6.0, 0.0))
 
 
 def test_arrival_starts_next_leg():
@@ -228,7 +227,7 @@ def test_arrival_starts_next_leg():
         (0.0, 0.0), (10.0, 10.0), (2.0, 2.0), 6.0,
         random.Random(0), waypoints=[(10.0, 0.0)], speeds=[2.0],
     )
-    state = rwp_step(plan, 5.0)
+    state = plan.motion_state_at(5.0)
     assert state.position == pytest.approx((10.0, 0.0))
     assert plan.leg_index_at(5.0) == 1
 
@@ -237,7 +236,7 @@ def test_same_seed_same_trajectory():
     mk = lambda seed: WaypointPlan((5.0, 5.0), (100.0, 100.0), (1.0, 4.0), 120.0, random.Random(seed))
     a, b = mk(11), mk(11)
     for t in [0.0, 3.7, 50.2, 119.9]:
-        assert rwp_step(a, t) == rwp_step(b, t)
+        assert a.motion_state_at(t) == b.motion_state_at(t)
 
 
 def test_positions_stay_inside_area():

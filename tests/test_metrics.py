@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangeskyline.harness import build_world, scenario2
 from rangeskyline.kinematics import WaypointPlan
@@ -11,6 +13,7 @@ from rangeskyline.metrics import (
     oracle_timeline,
     precision_recall,
     timeline_ids,
+    timeline_lookup,
 )
 from rangeskyline.netsim import NodeRuntime
 from rangeskyline.skyline import AttributeVector, DataObject, QuerySnapshot, range_skyline
@@ -183,3 +186,41 @@ def test_three_interval_oracle_ends_with_lone_survivor():
     assert len(tl) >= 3
     assert tl[-1][0] == frozenset({8})
     assert tl[-1][1][1] == 10.0
+
+
+# ---------------------------------------------------------------------------
+# set lookup
+# ---------------------------------------------------------------------------
+
+def linear_value_at(timeline, t):
+    """Reference: the linear scan the bisect lookup replaced."""
+    for sky, (a, b) in timeline:
+        if a <= t <= b:
+            return sky
+    if timeline:
+        if t < timeline[0][1][0]:
+            return timeline[0][0]
+        return timeline[-1][0]
+    return frozenset()
+
+
+@st.composite
+def ordered_timelines(draw):
+    """Ordered segments on a coarse grid: gaps, zero-length spans, shared ends."""
+    t = draw(st.integers(0, 3))
+    out = []
+    for k in range(draw(st.integers(0, 6))):
+        a = t + draw(st.sampled_from([0, 0, 1, 2]))
+        b = a + draw(st.sampled_from([0, 1, 2]))
+        out.append((frozenset({k}), (a / 2.0, b / 2.0)))
+        t = b
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(ordered_timelines(), st.lists(st.integers(-2, 40), max_size=10))
+def test_timeline_lookup_matches_linear_scan(timeline, quarter_steps):
+    at = timeline_lookup(timeline)
+    bounds = [x for _, span in timeline for x in span]
+    for t in bounds + [q / 4.0 for q in quarter_steps]:
+        assert at(t) == linear_value_at(timeline, t)

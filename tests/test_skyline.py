@@ -14,6 +14,7 @@ from rangeskyline.skyline import (
     non_spatial_dominates,
     point_skyline,
     range_skyline,
+    skyline_rows,
 )
 
 
@@ -308,3 +309,43 @@ def test_mean_skyline_size_tracks_log_formula():
         total += len(point_skyline(q, objs))
     mean = total / runs
     assert expected / 2 <= mean <= expected * 2
+
+
+# ---------------------------------------------------------------------------
+# sort-filter kernel
+# ---------------------------------------------------------------------------
+
+# Few distinct values, so duplicate vectors and equal distances are common.
+tied_val = st.sampled_from([0.0, 1.0, 2.0, 2.5])
+
+
+def rows_strategy(dims):
+    return st.lists(
+        st.tuples(tied_val, st.tuples(*[tied_val] * dims)), min_size=0, max_size=10
+    )
+
+
+def brute_force_rows(rows):
+    vecs = [(d, *key) for d, key in rows]
+    return [
+        i
+        for i, v in enumerate(vecs)
+        if not any(all(x <= y for x, y in zip(w, v)) and w != v for w in vecs)
+    ]
+
+
+@pytest.mark.parametrize("dims", [1, 3])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_skyline_rows_equals_brute_force(dims, data):
+    rows = data.draw(rows_strategy(dims))
+    got = skyline_rows((d, key, i) for i, (d, key) in enumerate(rows))
+    assert sorted(got) == brute_force_rows(rows)
+
+
+@pytest.mark.parametrize("other", [AttributeVector((1.0, 2.0)), AttributeVector((1.0,), ("max",))])
+def test_point_skyline_rejects_mixed_attribute_shapes(other):
+    q = QuerySnapshot((0.0, 0.0), 30.0)
+    odd = DataObject(2, (2.0, 0.0), (0.0, 0.0), other)
+    with pytest.raises(ValueError):
+        point_skyline(q, {obj(1, 1, 0, 1), odd})
