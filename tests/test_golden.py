@@ -1,11 +1,19 @@
-"""Golden digests of the CSV rows of a fixed seed grid.
+"""Golden digests of the CSV rows and event traces of a fixed seed grid.
 
 A refactor that changes any simulated result (a message count, a response
-time, a precision or recall digit) changes a digest here.  The digests were
-taken before the skyline and timeline primitives were consolidated; a change
-that is meant to alter results must regenerate them and say why.
+time, a precision or recall digit) changes a CSV digest here; one that
+changes the order, timing or kind of any processed event changes a trace
+digest.  The CSV digests were taken before the skyline and timeline
+primitives were consolidated, the trace digests before the protocol and
+engine steps were merged.  A change that is meant to alter results must
+regenerate them and say why:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+prints the current digests of the grid in the form of the tables below.
 """
 
+import functools
 import hashlib
 from dataclasses import replace
 
@@ -27,18 +35,42 @@ GOLDEN = {
     "scenario2": "c22e20fda5ca505053f5a964deb053b99083ca10b8fd04c41188298f88d15d89",
 }
 
+GOLDEN_TRACE = {
+    "scenario1": "ef9848bc943b26d8a4d827946920e9e50de799fefd986ce6ca4451541afe30d2",
+    "scenario1-3d": "28ad681415c2bb660026ae33bed88317e116611e1fef76d16e313cb284de0675",
+    "scenario2": "293f07e8f673578ed6fd929e5442827d397fbd427de5128ae8d98b3e91cbf7ea",
+}
 
-def grid_rows(scen):
+
+@functools.cache
+def grid_digests(name: str) -> tuple[str, str]:
+    """sha256 of the grid's CSV rows and of its event traces, one line each."""
+    scen = GRID[name]
+    rows = hashlib.sha256()
+    trace = hashlib.sha256()
     for rep, seed in enumerate(SEEDS):
         for approach in default_approaches(scen):
-            yield csv_row(run_scenario(scen, seed, approach), "seed", seed, rep)
+            result = run_scenario(scen, seed, approach)
+            rows.update((csv_row(result, "seed", seed, rep) + "\n").encode())
+            for line in result.trace:
+                trace.update((line + "\n").encode())
+    return rows.hexdigest(), trace.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GRID))
 def test_csv_rows_match_golden_digest(name):
-    scen = GRID[name]
-    assert scen.delivery_prob == 0.95
-    digest = hashlib.sha256()
-    for row in grid_rows(scen):
-        digest.update((row + "\n").encode())
-    assert digest.hexdigest() == GOLDEN[name]
+    assert GRID[name].delivery_prob == 0.95
+    assert grid_digests(name)[0] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GRID))
+def test_event_traces_match_golden_digest(name):
+    assert grid_digests(name)[1] == GOLDEN_TRACE[name]
+
+
+if __name__ == "__main__":
+    for table, column in (("GOLDEN", 0), ("GOLDEN_TRACE", 1)):
+        print(f"{table} = {{")
+        for name in sorted(GRID):
+            print(f'    "{name}": "{grid_digests(name)[column]}",')
+        print("}")
