@@ -79,6 +79,10 @@ class Scenario:
             raise ValueError("report_interval must be > 0")
         if self.speed_min > self.speed_max:
             raise ValueError("speed_min must not exceed speed_max")
+        if self.ttl_cap < 0:
+            raise ValueError("ttl_cap must be >= 0")
+        if self.ttl_centralized < 0:
+            raise ValueError("ttl_centralized must be >= 0")
 
     @property
     def area(self) -> float:
@@ -315,7 +319,7 @@ def run_scenario(scenario: Scenario, seed: object, approach: str) -> RunResult:
         acc = precision_recall(realized, truth, desc.window)
         response = outcome.response_time
         if response is None:
-            response = collection_timeout(scenario, ttl)
+            response = TIMEOUT_FACTOR * (ttl + 1) * link.hop_delay
         queries.append(
             QueryMetrics(
                 query_id=qid,
@@ -337,11 +341,6 @@ def run_scenario(scenario: Scenario, seed: object, approach: str) -> RunResult:
         msgs_update=sim.stats.sent.get(MSG_UPDATE, 0),
         trace=sim.trace,
     )
-
-
-def collection_timeout(scenario: Scenario, ttl: int) -> float:
-    link_delay = scenario.packet_size_bits / scenario.bandwidth_bps + scenario.per_hop_latency
-    return TIMEOUT_FACTOR * (ttl + 1) * link_delay
 
 
 def default_approaches(scenario: Scenario) -> tuple[str, ...]:

@@ -25,9 +25,6 @@ class MotionState:
     velocity: tuple[float, float]
     valid_from: float = 0.0
 
-    def speed(self) -> float:
-        return math.hypot(*self.velocity)
-
 
 def position_at(m: MotionState, t: float) -> tuple[float, float]:
     """Linear extrapolation of m to time t; t must not precede valid_from."""
@@ -65,9 +62,6 @@ class SafeInterval:
         if enter > leave:
             return SafeInterval.empty()
         return SafeInterval(enter, leave)
-
-    def duration(self) -> float:
-        return 0.0 if self.is_empty else self.leave - self.enter
 
 
 def safe_interval(
@@ -150,7 +144,6 @@ class WaypointPlan:
         waypoints: list[tuple[float, float]] | None = None,
         speeds: list[float] | None = None,
     ) -> None:
-        self.area = area
         self.horizon = horizon
         self.legs: list[Leg] = []
         lo, hi = speed_range

@@ -58,6 +58,10 @@ class LinkModel:
             raise ValueError("transmission range must be > 0")
         if not 0.0 < self.delivery_prob <= 1.0:
             raise ValueError("delivery probability must lie in (0, 1]")
+        if self.bandwidth_bps <= 0:
+            raise ValueError("bandwidth_bps must be > 0")
+        if self.per_hop_latency < 0:
+            raise ValueError("per_hop_latency must be >= 0")
 
     @property
     def tx_time(self) -> float:
@@ -94,17 +98,17 @@ class NodeRuntime:
     keeps; the engine only bounds how many distinct queries a node holds.
     """
 
+    buffer_limit = 32
+
     def __init__(
         self,
         node_id: int,
         plan: WaypointPlan,
         attrs: AttributeVector | None = None,
-        buffer_limit: int = 32,
     ) -> None:
         self.id = node_id
         self.plan = plan
         self.attrs = attrs
-        self.buffer_limit = buffer_limit
         self.query_buffer: dict[int, object] = {}
         self.tx_busy_until = 0.0
 
@@ -198,7 +202,10 @@ class Simulator:
         heapq.heappush(self._heap, (fire_at, next(self._seq), kind, payload))
 
     def schedule_initial(self, fire_at: float, kind: str, query_id: int, payload: object) -> None:
-        """Schedule work that belongs to a query's first collection wave."""
+        """Schedule work that belongs to a query's first collection wave.
+
+        The event's handler calls settle_initial(query_id) once it has run.
+        """
         self._pending_initial[query_id] += 1
         self.schedule(fire_at, kind, payload)
 
@@ -219,25 +226,21 @@ class Simulator:
                 handler = self._handlers.get(kind)
                 if handler is not None:
                     handler(payload, fire_at)
-                if kind == EVENT_REPLY_DEADLINE and payload is not None:
-                    self._settle_initial(payload.get("query_id"))
 
     # -- geometry oracle ----------------------------------------------------
 
-    def neighbors_of(self, node_id: int, t: float) -> dict[int, MotionState]:
-        """All nodes within the transmission range (closed ball) at time t."""
-        me = self.nodes[node_id]
-        mx, my = me.position(t)
+    def neighbors_of(self, node_id: int, t: float) -> list[int]:
+        """Ascending ids of all nodes within the transmission range (closed ball) at t."""
+        mx, my = self.nodes[node_id].position(t)
         r2 = self.link.transmission_range**2
-        table: dict[int, MotionState] = {}
+        out: list[int] = []
         for nid in sorted(self.nodes):
             if nid == node_id:
                 continue
-            other = self.nodes[nid]
-            ox, oy = other.position(t)
+            ox, oy = self.nodes[nid].position(t)
             if (ox - mx) ** 2 + (oy - my) ** 2 <= r2:
-                table[nid] = other.motion_state(t)
-        return table
+                out.append(nid)
+        return out
 
     def in_contact(self, a: int, b: int, t: float) -> bool:
         ax, ay = self.nodes[a].position(t)
@@ -246,44 +249,43 @@ class Simulator:
 
     # -- transmission -------------------------------------------------------
 
-    def _transmit(self, sender: int, receiver: int, msg: Message, depart: float, arrive: float) -> bool:
+    def _transmit(self, sender: int, receiver: int, msg: Message, arrive: float) -> bool:
+        if self._loss_rng[sender].random() >= self.link.delivery_prob:
+            return self._drop(msg, receiver)
         self.stats.sent[msg.msg_type] += 1
-        ok = self._loss_rng[sender].random() < self.link.delivery_prob
-        if not ok:
-            self.stats.lost[msg.msg_type] += 1
-            self._trace_msg(EVENT_MESSAGE_LOST, msg, receiver)
-            return False
-        delivered = replace(msg, dest=receiver)
         if msg.initial:
             self._pending_initial[msg.query_id] += 1
-        self.schedule(arrive, EVENT_MESSAGE, delivered)
+        self.schedule(arrive, EVENT_MESSAGE, replace(msg, dest=receiver))
         return True
 
-    def _next_slot(self, sender: int) -> tuple[float, float]:
+    def _drop(self, msg: Message, receiver: int) -> bool:
+        """Count and trace a message that was sent but never arrives."""
+        self.stats.sent[msg.msg_type] += 1
+        self.stats.lost[msg.msg_type] += 1
+        self._trace_msg(EVENT_MESSAGE_LOST, msg, receiver)
+        return False
+
+    def _next_slot(self, sender: int) -> float:
+        """Queue one packet on the sender's transmitter; returns its arrival time."""
         node = self.nodes[sender]
-        start = max(self.clock, node.tx_busy_until)
-        node.tx_busy_until = start + self.link.tx_time
-        return start, node.tx_busy_until + self.link.per_hop_latency
+        node.tx_busy_until = max(self.clock, node.tx_busy_until) + self.link.tx_time
+        return node.tx_busy_until + self.link.per_hop_latency
 
     def broadcast(self, sender: int, msg: Message) -> int:
         """Send one packet to every current neighbor; returns receiver count."""
-        receivers = sorted(self.neighbors_of(sender, self.clock))
+        receivers = self.neighbors_of(sender, self.clock)
         if not receivers:
             return 0
-        depart, arrive = self._next_slot(sender)
+        arrive = self._next_slot(sender)
         for rid in receivers:
-            self._transmit(sender, rid, msg, depart, arrive)
+            self._transmit(sender, rid, msg, arrive)
         return len(receivers)
 
     def unicast(self, sender: int, receiver: int, msg: Message) -> bool:
         """Send one packet to a specific node; drops if it moved out of range."""
         if receiver not in self.nodes or not self.in_contact(sender, receiver, self.clock):
-            self.stats.sent[msg.msg_type] += 1
-            self.stats.lost[msg.msg_type] += 1
-            self._trace_msg(EVENT_MESSAGE_LOST, msg, receiver)
-            return False
-        depart, arrive = self._next_slot(sender)
-        return self._transmit(sender, receiver, msg, depart, arrive)
+            return self._drop(msg, receiver)
+        return self._transmit(sender, receiver, msg, self._next_slot(sender))
 
     # -- flooding and reverse paths ------------------------------------------
 
@@ -296,10 +298,7 @@ class Simulator:
         """Unicast toward the query origin along the recorded reverse path."""
         parent = self.reverse_parent.get((sender, msg.query_id))
         if parent is None:
-            self.stats.sent[msg.msg_type] += 1
-            self.stats.lost[msg.msg_type] += 1
-            self._trace_msg(EVENT_MESSAGE_LOST, msg, BROADCAST)
-            return False
+            return self._drop(msg, BROADCAST)
         return self.unicast(sender, parent, replace(msg, source=sender))
 
     def _deliver(self, msg: Message) -> None:
@@ -324,13 +323,16 @@ class Simulator:
             if self.on_message is not None:
                 self.on_message(msg.dest, msg, self.clock)
         if msg.initial:
-            self._settle_initial(msg.query_id)
+            self.settle_initial(msg.query_id)
 
     # -- per-query completion ------------------------------------------------
 
-    def _settle_initial(self, query_id: int | None) -> None:
-        if query_id is None:
-            return
+    def settle_initial(self, query_id: int) -> None:
+        """One counted unit of a query's first collection wave is done.
+
+        The engine settles each initial message it delivers; the handler of
+        an event scheduled through schedule_initial settles that event.
+        """
         self._pending_initial[query_id] -= 1
         if (
             self._pending_initial[query_id] == 0
@@ -339,9 +341,6 @@ class Simulator:
             self._collection_done.add(query_id)
             if self.on_collection_complete is not None:
                 self.on_collection_complete(query_id, self.clock)
-
-    def collection_finished(self, query_id: int) -> bool:
-        return query_id in self._collection_done
 
     # -- tracing ---------------------------------------------------------------
 

@@ -239,12 +239,8 @@ class SensorQueryState:
 
     descriptor: QueryDescriptor
     known: dict[int, DataObject] = field(default_factory=dict)
-    self_record: DataObject | None = None
     replied: bool = False
     last_sent: frozenset = frozenset()
-
-    def absorb(self, obj: DataObject) -> None:
-        keep_newest(self.known, obj)
 
 
 @dataclass
@@ -262,9 +258,6 @@ class QueryOutcome:
     recompute_scheduled: bool = False
     # true when the collection ended with nothing received at all
     low_confidence: bool = False
-
-    def absorb(self, obj: DataObject) -> None:
-        keep_newest(self.known, obj)
 
     def realized_timeline(self) -> Timeline:
         """What the issuer believed at each instant of the window."""
@@ -301,18 +294,12 @@ class QueryProtocol:
         self,
         sim: Simulator,
         mode: str = MODE_DISTRIBUTED,
-        hold_factor: float = HOLD_FACTOR,
-        timeout_factor: float = TIMEOUT_FACTOR,
-        recompute_interval: float = RECOMPUTE_INTERVAL,
         report_interval: float = 1.0,
     ) -> None:
         if mode not in (MODE_DISTRIBUTED, MODE_CENTRALIZED):
             raise ValueError(f"unknown mode {mode!r}")
         self.sim = sim
         self.mode = mode
-        self.hold_factor = hold_factor
-        self.timeout_factor = timeout_factor
-        self.recompute_interval = recompute_interval
         self.report_interval = report_interval
         self.outcomes: dict[int, QueryOutcome] = {}
         self._contacts_enabled = False
@@ -381,50 +368,45 @@ class QueryProtocol:
         return DataObject(node_id, state.position, state.velocity, node.attrs, t)
 
     def _sense_neighborhood(self, node_id: int, state: SensorQueryState, t: float) -> None:
-        node = self.sim.nodes[node_id]
-        if node.attrs is not None:
-            state.absorb(self._sense(node_id, t, predictive=True))
-        for nid in sorted(self.sim.neighbors_of(node_id, t)):
+        for nid in [node_id] + self.sim.neighbors_of(node_id, t):
             if self.sim.nodes[nid].attrs is not None:
-                state.absorb(self._sense(nid, t, predictive=True))
+                keep_newest(state.known, self._sense(nid, t, predictive=True))
 
     # -- query issue and dissemination -------------------------------------------
 
     def _on_issue(self, payload: dict, t: float) -> None:
-        desc: QueryDescriptor = payload["descriptor"]
+        desc = self._announce(payload["descriptor"], t)
         qid = desc.query_id
-        desc = replace(desc, issuer_state=self.sim.nodes[desc.issuer].motion_state(t))
         self.outcomes[qid] = QueryOutcome(descriptor=desc, issue_time=t)
-        self.sim.nodes[desc.issuer].store_query(qid, SensorQueryState(descriptor=desc))
-        self.sim.flood(
-            desc.issuer,
-            Message(MSG_QUERY, desc.issuer, BROADCAST, desc.ttl, qid, payload=desc, initial=True),
-        )
-        timeout = t + self.timeout_factor * (desc.ttl + 1) * self.sim.link.hop_delay
+        timeout = t + TIMEOUT_FACTOR * (desc.ttl + 1) * self.sim.link.hop_delay
         self.sim.schedule(timeout, EVENT_QUERY_EXPIRE, {"query_id": qid, "reason": "timeout"})
         if not desc.is_snapshot:
             if self.mode == MODE_CENTRALIZED:
-                self.sim.schedule(
-                    t + self.report_interval, EVENT_PERIODIC, {"query_id": qid, "round": 1}
-                )
+                self.sim.schedule(t + self.report_interval, EVENT_PERIODIC, {"query_id": qid})
             self.sim.schedule(
                 desc.window[1], EVENT_QUERY_EXPIRE, {"query_id": qid, "reason": "window-end"}
             )
 
     def _reflood(self, qid: int, t: float) -> None:
         outcome = self.outcomes[qid]
-        desc = replace(
-            outcome.descriptor,
-            issuer_state=self.sim.nodes[outcome.descriptor.issuer].motion_state(t),
-            generation=outcome.descriptor.generation + 1,
+        outcome.descriptor = self._announce(
+            replace(outcome.descriptor, generation=outcome.descriptor.generation + 1), t
         )
-        outcome.descriptor = desc
-        self.sim.nodes[desc.issuer].store_query(qid, SensorQueryState(descriptor=desc))
+
+    def _announce(self, desc: QueryDescriptor, t: float) -> QueryDescriptor:
+        """Flood desc with the issuer's motion at t; returns what was flooded.
+
+        Generation 0 is the initial wave, whose collection the engine tracks.
+        """
+        issuer = self.sim.nodes[desc.issuer]
+        desc = replace(desc, issuer_state=issuer.motion_state(t))
+        issuer.store_query(desc.query_id, SensorQueryState(descriptor=desc))
         self.sim.flood(
             desc.issuer,
-            Message(MSG_QUERY, desc.issuer, BROADCAST, desc.ttl, qid, payload=desc,
-                    generation=desc.generation),
+            Message(MSG_QUERY, desc.issuer, BROADCAST, desc.ttl, desc.query_id, payload=desc,
+                    generation=desc.generation, initial=desc.generation == 0),
         )
+        return desc
 
     # -- message dispatch ----------------------------------------------------------
 
@@ -432,26 +414,22 @@ class QueryProtocol:
         if msg.msg_type == MSG_QUERY:
             self._on_query_received(node_id, msg, t)
             return
-        outcome = self.outcomes.get(msg.query_id)
-        if outcome is not None and node_id == outcome.descriptor.issuer:
-            self._issuer_receive(outcome, msg, t)
+        if self._is_issuer(node_id, msg.query_id):
+            self._issuer_receive(self.outcomes[msg.query_id], msg, t)
         else:
             self._sensor_receive(node_id, msg, t)
 
     def _on_query_received(self, node_id: int, msg: Message, t: float) -> None:
         desc: QueryDescriptor = msg.payload
         qid = desc.query_id
-        if self._expired(desc, t):
-            return
-        outcome = self.outcomes.get(qid)
-        if outcome is not None and node_id == outcome.descriptor.issuer:
+        if self._expired(desc, t) or self._is_issuer(node_id, qid):
             return
         node = self.sim.nodes[node_id]
         state = node.query_buffer.get(qid)
         if state is not None:
             # re-announcement: the center trajectory changed
             state.descriptor = desc
-            if self.mode == MODE_DISTRIBUTED and not desc.is_snapshot:
+            if self.mode == MODE_DISTRIBUTED:
                 self._monitor_tick(node_id, state, t)
             return
         state = SensorQueryState(descriptor=desc)
@@ -461,35 +439,28 @@ class QueryProtocol:
             if node.attrs is not None:
                 record = self._sense(node_id, t, predictive=False)
                 self._send_up(node_id, qid, [record], MSG_REPLY, initial=msg.initial)
-            state.replied = True
             return
         if desc.is_snapshot:
             if node.attrs is not None:
-                state.self_record = self._sense(node_id, t, predictive=False)
-                state.absorb(state.self_record)
+                keep_newest(state.known, self._sense(node_id, t, predictive=False))
         else:
             self._sense_neighborhood(node_id, state, t)
         if msg.ttl > 0:
-            deadline = t + self.hold_factor * msg.ttl * self.sim.link.hop_delay
+            deadline = t + HOLD_FACTOR * msg.ttl * self.sim.link.hop_delay
             self.sim.schedule_initial(
                 deadline, EVENT_REPLY_DEADLINE, qid, {"node": node_id, "query_id": qid}
             )
         else:
-            self._first_reply(node_id, state, t, initial=msg.initial)
+            state.replied = True
+            self._recompute_and_send(node_id, state, t, MSG_REPLY, initial=msg.initial)
 
     def _on_deadline(self, payload: dict, t: float) -> None:
         node_id, qid = payload["node"], payload["query_id"]
         state = self.sim.nodes[node_id].query_buffer.get(qid)
-        if state is None or state.replied:
-            return
-        self._first_reply(node_id, state, t, initial=True)
-
-    def _first_reply(self, node_id: int, state: SensorQueryState, t: float, initial: bool) -> None:
-        state.replied = True
-        batch = self._compose_batch(state, t)
-        state.last_sent = signature(batch)
-        if batch:
-            self._send_up(node_id, state.descriptor.query_id, batch, MSG_REPLY, initial=initial)
+        if state is not None and not state.replied:
+            state.replied = True
+            self._recompute_and_send(node_id, state, t, MSG_REPLY, initial=True)
+        self.sim.settle_initial(qid)
 
     def _sensor_receive(self, node_id: int, msg: Message, t: float) -> None:
         state = self.sim.nodes[node_id].query_buffer.get(msg.query_id)
@@ -503,7 +474,7 @@ class QueryProtocol:
             # no pruning: relay every report toward the issuer
             self.sim.reverse_forward(node_id, replace(msg, source=node_id))
             return
-        state.absorb(msg.payload)
+        keep_newest(state.known, msg.payload)
         if not state.replied:
             return
         self._recompute_and_send(
@@ -514,7 +485,7 @@ class QueryProtocol:
 
     def _issuer_receive(self, outcome: QueryOutcome, msg: Message, t: float) -> None:
         outcome.accessed_objects += 1
-        outcome.absorb(msg.payload)
+        keep_newest(outcome.known, msg.payload)
         if not outcome.descriptor.is_snapshot:
             self._schedule_issuer_recompute(outcome, t)
 
@@ -566,7 +537,7 @@ class QueryProtocol:
     def _schedule_issuer_recompute(self, outcome: QueryOutcome, t: float) -> None:
         if outcome.recompute_scheduled:
             return
-        due = outcome.last_recompute + self.recompute_interval
+        due = outcome.last_recompute + RECOMPUTE_INTERVAL
         if due <= t:
             self._issuer_recompute(outcome, t)
         else:
@@ -604,9 +575,7 @@ class QueryProtocol:
         outcome.final_snapshot = frozenset(merge_prune(q, [set(outcome.known.values())]))
 
     def _on_collection_complete(self, qid: int, t: float) -> None:
-        outcome = self.outcomes.get(qid)
-        if outcome is None:
-            return
+        outcome = self.outcomes[qid]
         if outcome.descriptor.is_snapshot:
             self._finalize_snapshot(outcome, t)
             return
@@ -621,43 +590,33 @@ class QueryProtocol:
         for qid in sorted(self.outcomes):
             outcome = self.outcomes[qid]
             desc = outcome.descriptor
-            if desc.is_snapshot or self._expired(desc, t) or t < outcome.issue_time:
-                continue
-            if desc.issuer == moved and self.mode == MODE_DISTRIBUTED:
+            if desc.issuer == moved and not desc.is_snapshot and not self._expired(desc, t):
                 self._reflood(qid, t)
                 self._schedule_issuer_recompute(outcome, t)
-        if self.mode == MODE_DISTRIBUTED:
-            self._touch_holders_near(moved, t)
+        self._touch_holders_near(moved, t)
         if self._contacts_enabled:
             for other in sorted(self.sim.nodes):
                 if other != moved:
                     self._schedule_pair_contact(min(moved, other), max(moved, other), t)
 
     def _touch_holders_near(self, moved: int, t: float) -> None:
-        for nid in sorted(self.sim.neighbors_of(moved, t)) + [moved]:
+        for nid in self.sim.neighbors_of(moved, t) + [moved]:
             self._tick_held_queries(nid, t)
 
     def _tick_held_queries(self, nid: int, t: float) -> None:
         """Monitor tick for every query nid holds as a sensor, not as issuer."""
         node = self.sim.nodes[nid]
         for qid in sorted(node.query_buffer):
-            outcome = self.outcomes.get(qid)
-            if outcome is not None and nid == outcome.descriptor.issuer:
-                continue
-            self._monitor_tick(nid, node.query_buffer[qid], t)
+            if not self._is_issuer(nid, qid):
+                self._monitor_tick(nid, node.query_buffer[qid], t)
 
     def _on_trigger(self, payload: dict, t: float) -> None:
         if "recompute" in payload:
-            outcome = self.outcomes.get(payload["recompute"])
-            if outcome is not None:
-                outcome.recompute_scheduled = False
-                self._issuer_recompute(outcome, t)
+            self._issuer_recompute(self.outcomes[payload["recompute"]], t)
             return
         a, b = payload["a"], payload["b"]
         na, nb = self.sim.nodes[a], self.sim.nodes[b]
         if na.leg_seq(t) != payload["leg_a"] or nb.leg_seq(t) != payload["leg_b"]:
-            return
-        if self.mode != MODE_DISTRIBUTED:
             return
         self._piggyback(a, b, t)
         self._piggyback(b, a, t)
@@ -683,8 +642,8 @@ class QueryProtocol:
 
     def _on_periodic_round(self, payload: dict, t: float) -> None:
         qid = payload["query_id"]
-        outcome = self.outcomes.get(qid)
-        if outcome is None or t >= outcome.descriptor.window[1]:
+        outcome = self.outcomes[qid]
+        if t >= outcome.descriptor.window[1]:
             return
         self._reflood(qid, t)
         for nid in sorted(self.sim.nodes):
@@ -698,14 +657,12 @@ class QueryProtocol:
                 self._send_up(nid, qid, [record], MSG_UPDATE, initial=False)
         nxt = t + self.report_interval
         if nxt < outcome.descriptor.window[1]:
-            self.sim.schedule(nxt, EVENT_PERIODIC, {"query_id": qid, "round": payload["round"] + 1})
+            self.sim.schedule(nxt, EVENT_PERIODIC, {"query_id": qid})
 
     def _on_expire(self, payload: dict, t: float) -> None:
         qid = payload["query_id"]
-        outcome = self.outcomes.get(qid)
-        if outcome is None:
-            return
-        if payload.get("reason") == "timeout":
+        outcome = self.outcomes[qid]
+        if payload["reason"] == "timeout":
             if outcome.descriptor.is_snapshot:
                 self._finalize_snapshot(outcome, t)
             elif outcome.response_time is None:
@@ -714,6 +671,10 @@ class QueryProtocol:
             return
         for nid in sorted(self.sim.nodes):
             self.sim.nodes[nid].query_buffer.pop(qid, None)
+
+    def _is_issuer(self, node_id: int, qid: int) -> bool:
+        outcome = self.outcomes.get(qid)
+        return outcome is not None and node_id == outcome.descriptor.issuer
 
     @staticmethod
     def _expired(desc: QueryDescriptor, t: float) -> bool:

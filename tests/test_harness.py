@@ -232,6 +232,10 @@ def test_cli_rejects_unreadable_scenario(tmp_path):
         "node_count = -3",
         "query_count = 0",
         "speed_min = 12",
+        "bandwidth_bps = 0",
+        "per_hop_latency = -0.01",
+        "ttl_cap = -1",
+        "ttl_centralized = -2",
     ],
 )
 def test_cli_rejects_invalid_scenario(tmp_path, line):
@@ -241,6 +245,7 @@ def test_cli_rejects_invalid_scenario(tmp_path, line):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+    assert line.split(" = ")[0] in proc.stderr
 
 
 def test_cli_run_trace_is_deterministic(tmp_path):

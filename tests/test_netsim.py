@@ -178,7 +178,7 @@ def test_loss_model_delivery_ratio():
 
 def test_isolated_node_has_empty_table():
     sim = build_sim([(0, 0), (500, 500)], r=50.0)
-    assert sim.neighbors_of(0, 0.0) == {}
+    assert sim.neighbors_of(0, 0.0) == []
 
 
 def test_nodes_at_exact_range_are_mutual_neighbors():
@@ -196,7 +196,7 @@ def test_neighbor_table_matches_distance_oracle():
         expected = {
             j for j in range(40) if j != i and math.dist(coords[i], coords[j]) <= r
         }
-        assert set(sim.neighbors_of(i, 0.0)) == expected
+        assert sim.neighbors_of(i, 0.0) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------
