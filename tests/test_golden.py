@@ -5,8 +5,10 @@ time, a precision or recall digit) changes a CSV digest here; one that
 changes the order, timing or kind of any processed event changes a trace
 digest.  The CSV digests were taken before the skyline and timeline
 primitives were consolidated, the trace digests before the protocol and
-engine steps were merged.  A change that is meant to alter results must
-regenerate them and say why:
+engine steps were merged, and both scenario2-dense digests (denser
+candidate sets, two queries per run) before the prediction kernel was
+rewritten over per-candidate floats.  A change that is meant to alter
+results must regenerate them and say why:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,18 +29,21 @@ GRID = {
     "scenario1": scenario1(),
     "scenario1-3d": replace(scenario1(), attr_dims=3, attr_directions="min,max,min"),
     "scenario2": scenario2(),
+    "scenario2-dense": replace(scenario2(), node_count=90, query_count=2),
 }
 
 GOLDEN = {
     "scenario1": "fb384696b64ff399685733274aa872d6f495d896c87c4da7f9b70faff6be7286",
     "scenario1-3d": "d3864b7030cc87509da1f06632d15b61573eac06dc137d9156cafe968c6aa3c9",
     "scenario2": "c22e20fda5ca505053f5a964deb053b99083ca10b8fd04c41188298f88d15d89",
+    "scenario2-dense": "11aeb23c4ef6c42a98f5e279910dcbd12e41fc9f98380c66b5c0345e27e4aa29",
 }
 
 GOLDEN_TRACE = {
     "scenario1": "ef9848bc943b26d8a4d827946920e9e50de799fefd986ce6ca4451541afe30d2",
     "scenario1-3d": "28ad681415c2bb660026ae33bed88317e116611e1fef76d16e313cb284de0675",
     "scenario2": "293f07e8f673578ed6fd929e5442827d397fbd427de5128ae8d98b3e91cbf7ea",
+    "scenario2-dense": "9f094f5a9d0841975c6f05f28f810f5376f4e348408ff954a09f596789637ff3",
 }
 
 
