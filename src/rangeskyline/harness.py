@@ -71,6 +71,10 @@ class Scenario:
     replications: int = 20
 
     def __post_init__(self) -> None:
+        if self.area_width <= 0:
+            raise ValueError("area_width must be > 0")
+        if self.area_height <= 0:
+            raise ValueError("area_height must be > 0")
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
         if self.query_count < 1:

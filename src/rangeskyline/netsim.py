@@ -190,6 +190,8 @@ class Simulator:
         self._collection_done: set[int] = set()
         self.on_collection_complete: Callable[[int, float], None] | None = None
         self.on_message: Callable[[int, Message, float], None] | None = None
+        self._snapshot_t: float | None = None
+        self._snapshot: list[tuple[int, float, float]] = []
 
     # -- event machinery ----------------------------------------------------
 
@@ -231,16 +233,25 @@ class Simulator:
 
     def neighbors_of(self, node_id: int, t: float) -> list[int]:
         """Ascending ids of all nodes within the transmission range (closed ball) at t."""
+        snapshot = self._positions_at(t)
         mx, my = self.nodes[node_id].position(t)
         r2 = self.link.transmission_range**2
-        out: list[int] = []
-        for nid in sorted(self.nodes):
-            if nid == node_id:
-                continue
-            ox, oy = self.nodes[nid].position(t)
-            if (ox - mx) ** 2 + (oy - my) ** 2 <= r2:
-                out.append(nid)
-        return out
+        return [
+            nid
+            for nid, ox, oy in snapshot
+            if nid != node_id and (ox - mx) ** 2 + (oy - my) ** 2 <= r2
+        ]
+
+    def _positions_at(self, t: float) -> list[tuple[int, float, float]]:
+        """(id, x, y) of every node at t in ascending id order.
+
+        Kept for the latest instant asked; plans are immutable and the node
+        set is fixed at construction, so an entry never goes stale.
+        """
+        if self._snapshot_t != t:
+            self._snapshot = [(nid, *self.nodes[nid].position(t)) for nid in sorted(self.nodes)]
+            self._snapshot_t = t
+        return self._snapshot
 
     def in_contact(self, a: int, b: int, t: float) -> bool:
         ax, ay = self.nodes[a].position(t)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from rangeskyline.kinematics import (
     INF,
     MotionState,
-    SafeInterval,
     monitoring_interval,
     position_at,
     safe_interval,
@@ -107,59 +106,25 @@ def extend_timeline(out: Timeline, sky: frozenset, a: float, b: float) -> None:
         out.append((sky, (a, b)))
 
 
-def _center_offsets(center: MotionState, obj: DataObject, at: float):
-    """Relative offset and velocity of obj w.r.t. the moving center at `at`."""
-    cx, cy = position_at(center, at)
-    ox, oy = obj.position_at(at)
+def _carried(o: DataObject) -> tuple:
+    """The fields of o that the row builder reads, unpacked once per call."""
     return (
-        (ox - cx, oy - cy),
-        (obj.velocity[0] - center.velocity[0], obj.velocity[1] - center.velocity[1]),
+        o.position[0], o.position[1], o.velocity[0], o.velocity[1],
+        o.observed_at, o.attrs.canonical(), o,
     )
 
 
-def _distance_flip_times(
-    center: MotionState, a: DataObject, b: DataObject, lo: float, hi: float
-) -> list[float]:
-    """Times in (lo, hi) where the two objects tie in distance to the center."""
-    (pax, pay), (vax, vay) = _center_offsets(center, a, lo)
-    (pbx, pby), (vbx, vby) = _center_offsets(center, b, lo)
-    # |pa + va*t|^2 - |pb + vb*t|^2 as c2*t^2 + c1*t + c0, t relative to lo
-    c2 = (vax * vax + vay * vay) - (vbx * vbx + vby * vby)
-    c1 = 2.0 * ((pax * vax + pay * vay) - (pbx * vbx + pby * vby))
-    c0 = (pax * pax + pay * pay) - (pbx * pbx + pby * pby)
-    span = hi - lo
-    roots: list[float] = []
-    if c2 == 0.0:
-        if c1 != 0.0:
-            roots.append(-c0 / c1)
-    else:
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc > 0.0:
-            sq = math.sqrt(disc)
-            roots.extend(((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)))
-    return [lo + t for t in roots if 0.0 < t < span]
-
-
-def _skyline_at(
-    center: MotionState,
-    range_R: float,
-    objects: list[DataObject],
-    t: float,
-    pre_filtered: bool = False,
-    canon: dict[int, tuple[float, ...]] | None = None,
-) -> frozenset:
-    """Range-skyline of the carried objects with positions advanced to t.
+def _skyline_at(center: MotionState, range_R: float, cands: list[tuple], t: float) -> frozenset:
+    """Range-skyline of the _carried candidates with positions advanced to t.
 
     Builds the (distance, canonical attrs) rows for the shared skyline kernel;
     the hot inner loop of every segment evaluation.
     """
     cx, cy = position_at(center, t)
     rows: list[tuple[float, tuple[float, ...], DataObject]] = []
-    for o in objects:
-        ox, oy = o.position_at(t)
-        d = math.hypot(ox - cx, oy - cy)
-        if pre_filtered or d <= range_R:
-            key = canon[o.id] if canon is not None else o.attrs.canonical()
+    for x, y, ux, uy, obs, key, o in cands:
+        d = math.hypot(x + ux * (t - obs) - cx, y + uy * (t - obs) - cy)
+        if d <= range_R:
             rows.append((d, key, o))
     return frozenset(skyline_rows(rows))
 
@@ -184,12 +149,11 @@ def predict_timeline(
     if lo > hi:
         return []
     objs = sorted(objects, key=lambda o: o.id)
-    canon = {o.id: o.attrs.canonical() for o in objs}
     if lo == hi:
-        return [(_skyline_at(center, range_R, objs, lo, canon=canon), (lo, hi))]
+        return [(_skyline_at(center, range_R, [_carried(o) for o in objs], lo), (lo, hi))]
 
-    spans: dict[int, SafeInterval] = {}
     cuts: set[float] = {lo, hi}
+    spans: list[tuple[DataObject, float, float]] = []
     for o in objs:
         si = safe_interval(
             center, MotionState(o.position, o.velocity, o.observed_at), range_R, lo
@@ -197,26 +161,61 @@ def predict_timeline(
         si = monitoring_interval(si, (lo, hi))
         if si.is_empty:
             continue
-        spans[o.id] = si
+        # leave <= hi: the monitoring interval ends at the window end
+        spans.append((o, si.enter, si.leave))
         cuts.add(si.enter)
-        cuts.add(min(si.leave, hi))
-    live = [o for o in objs if o.id in spans]
-    for i, a in enumerate(live):
-        for b in live[i + 1:]:
-            overlap = spans[a.id].intersect(spans[b.id])
-            if overlap.is_empty:
+        cuts.add(si.leave)
+
+    # Offset p and velocity v of each live candidate relative to the center
+    # at lo; their squared distance is |p|^2 + 2(p.v)t + |v|^2 t^2.
+    live: list[tuple[float, float, float, float, float, tuple]] = []
+    if spans:
+        cx, cy = position_at(center, lo)
+        cvx, cvy = center.velocity
+    for o, enter, leave in spans:
+        px = o.position[0] + o.velocity[0] * (lo - o.observed_at) - cx
+        py = o.position[1] + o.velocity[1] * (lo - o.observed_at) - cy
+        vx = o.velocity[0] - cvx
+        vy = o.velocity[1] - cvy
+        live.append(
+            (enter, leave, vx * vx + vy * vy, px * vx + py * vy, px * px + py * py, _carried(o))
+        )
+
+    # Distance ties of two candidates while both are live cut the window.
+    span = hi - lo
+    for i, (ea, la, va2, pva, p2a, _) in enumerate(live):
+        for eb, lb, vb2, pvb, p2b, _ in live[i + 1:]:
+            start = max(ea, eb)
+            stop = min(la, lb)
+            if start >= stop:
                 continue
-            for t in _distance_flip_times(center, a, b, lo, hi):
-                if overlap.enter < t < min(overlap.leave, hi):
-                    cuts.add(t)
+            # |pa + va*t|^2 - |pb + vb*t|^2 as c2*t^2 + c1*t + c0, t relative to lo
+            c2 = va2 - vb2
+            c1 = 2.0 * (pva - pvb)
+            c0 = p2a - p2b
+            if c2 == 0.0:
+                if c1 == 0.0:
+                    continue
+                roots: tuple[float, ...] = (-c0 / c1,)
+            else:
+                disc = c1 * c1 - 4.0 * c2 * c0
+                if not disc > 0.0:
+                    continue
+                sq = math.sqrt(disc)
+                roots = ((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2))
+            for r in roots:
+                if 0.0 < r < span:
+                    t = lo + r
+                    if start < t < stop:
+                        cuts.add(t)
 
     marks = sorted(cuts)
     out: Timeline = []
     for a, b in zip(marks, marks[1:]):
         mid = (a + b) / 2.0
-        members = [o for o in live if spans[o.id].contains(mid)]
-        sky = _skyline_at(center, range_R, members, mid, pre_filtered=True, canon=canon)
-        extend_timeline(out, sky, a, b)
+        members = [row for enter, leave, _, _, _, row in live if enter <= mid <= leave]
+        # members are in range by their safe intervals
+        extend_timeline(out, _skyline_at(center, INF, members, mid), a, b)
     return out or [(frozenset(), (lo, hi))]
 
 

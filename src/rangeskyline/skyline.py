@@ -107,14 +107,29 @@ def non_spatial_dominates(a: AttributeVector, b: AttributeVector) -> bool:
 def skyline_rows(rows: Iterable[tuple[float, tuple[float, ...], T]]) -> list[T]:
     """Payloads of the undominated (distance, canonical attrs, payload) rows.
 
-    Sort-filter skyline (Chomicki, Godfrey, Gryz & Liang, ICDE 2003): rows are
-    presorted by (distance, attrs), so every dominator precedes the rows it
-    dominates and each row is checked only against the rows kept so far.
-    A kept row dominates a later one when its attributes are no worse and the
-    two rows differ; its distance is no larger by the sort order.
+    All keys have one length.  Rows are presorted by (distance, attrs), so
+    every dominator precedes the rows it dominates.  With one attribute this
+    is a sort-and-scan (Kung, Luccio & Preparata, 1975): a row survives when
+    its key beats every earlier key, or ties the best key at the distance of
+    that key's first row.  Longer keys take the sort-filter skyline (Chomicki,
+    Godfrey, Gryz & Liang, ICDE 2003), which checks each row only against
+    the rows kept so far: a kept row dominates a later one when its
+    attributes are no worse and the two rows differ; its distance is no
+    larger by the sort order.
     """
+    ordered = sorted(rows, key=itemgetter(0, 1))
+    if ordered and len(ordered[0][1]) == 1:
+        out: list[T] = []
+        best_key, best_d = ordered[0][1], ordered[0][0]
+        for d, key, payload in ordered:
+            if key < best_key:
+                best_key, best_d = key, d
+            elif key != best_key or d != best_d:
+                continue
+            out.append(payload)
+        return out
     kept: list[tuple[float, tuple[float, ...], T]] = []
-    for row in sorted(rows, key=itemgetter(0, 1)):
+    for row in ordered:
         d, key, _ = row
         for d2, key2, _ in kept:
             if all(x <= y for x, y in zip(key2, key)) and (d2 < d or key2 != key):

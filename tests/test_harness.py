@@ -236,6 +236,8 @@ def test_cli_rejects_unreadable_scenario(tmp_path):
         "per_hop_latency = -0.01",
         "ttl_cap = -1",
         "ttl_centralized = -2",
+        "area_width = 0",
+        "area_height = -100",
     ],
 )
 def test_cli_rejects_invalid_scenario(tmp_path, line):

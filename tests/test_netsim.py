@@ -199,6 +199,42 @@ def test_neighbor_table_matches_distance_oracle():
         assert sim.neighbors_of(i, 0.0) == sorted(expected)
 
 
+def test_neighbor_tables_follow_moving_nodes_across_interleaved_instants():
+    # positions are kept per instant: a table asked at t1, then t2, then t1
+    # again, from different nodes, must match the geometry at each instant
+    rng = random.Random(47)
+    ids = [7, 3, 11, 0, 5, 9, 2, 14, 6, 1, 12, 4]
+    nodes = [
+        NodeRuntime(
+            nid,
+            WaypointPlan(
+                (rng.uniform(0, 300), rng.uniform(0, 300)), (300.0, 300.0), (5.0, 15.0), 60.0, rng
+            ),
+            AttributeVector((1.0,)),
+        )
+        for nid in ids
+    ]
+    r = 80.0
+    sim = Simulator(nodes, LinkModel(transmission_range=r), horizon=60.0)
+    plans = {n.id: n.plan for n in nodes}
+
+    def oracle(i, t):
+        xi, yi = plans[i].position_at(t)
+        return [
+            j
+            for j in sorted(plans)
+            if j != i
+            and (plans[j].position_at(t)[0] - xi) ** 2 + (plans[j].position_at(t)[1] - yi) ** 2
+            <= r * r
+        ]
+
+    t1, t2 = 3.25, 17.5
+    assert any(oracle(i, t1) != oracle(i, t2) for i in ids)
+    for i, j in zip(ids, ids[1:]):
+        for node, t in ((i, t1), (j, t2), (i, t1), (j, t1), (i, t2)):
+            assert sim.neighbors_of(node, t) == oracle(node, t), (node, t)
+
+
 # ---------------------------------------------------------------------------
 # accounting and determinism
 # ---------------------------------------------------------------------------

@@ -1,7 +1,16 @@
 import math
 import random
 
-from rangeskyline.kinematics import MotionState, WaypointPlan
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rangeskyline.kinematics import (
+    MotionState,
+    WaypointPlan,
+    monitoring_interval,
+    position_at,
+    safe_interval,
+)
 from rangeskyline.netsim import (
     LinkModel,
     MSG_REPLY,
@@ -14,6 +23,7 @@ from rangeskyline.protocols import (
     MODE_DISTRIBUTED,
     QueryDescriptor,
     QueryProtocol,
+    extend_timeline,
     predict_timeline,
     relevant_union,
 )
@@ -410,3 +420,152 @@ def test_predicted_segments_match_direct_skyline_at_samples():
                 }
                 want = {o.id for o in range_skyline(q, moved)}
                 assert {o.id for o in sky} == want, (a, b, t)
+
+
+# ---------------------------------------------------------------------------
+# Reference prediction: the object-level formulation the float kernel of
+# predict_timeline replaced.  Every distance, root, cut and midpoint of the
+# kernel must come out bit-identical to this one.
+# ---------------------------------------------------------------------------
+
+def _reference_center_offsets(center, obj, at):
+    cx, cy = position_at(center, at)
+    ox, oy = obj.position_at(at)
+    return (
+        (ox - cx, oy - cy),
+        (obj.velocity[0] - center.velocity[0], obj.velocity[1] - center.velocity[1]),
+    )
+
+
+def _reference_distance_flip_times(center, a, b, lo, hi):
+    (pax, pay), (vax, vay) = _reference_center_offsets(center, a, lo)
+    (pbx, pby), (vbx, vby) = _reference_center_offsets(center, b, lo)
+    c2 = (vax * vax + vay * vay) - (vbx * vbx + vby * vby)
+    c1 = 2.0 * ((pax * vax + pay * vay) - (pbx * vbx + pby * vby))
+    c0 = (pax * pax + pay * pay) - (pbx * pbx + pby * pby)
+    span = hi - lo
+    roots = []
+    if c2 == 0.0:
+        if c1 != 0.0:
+            roots.append(-c0 / c1)
+    else:
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc > 0.0:
+            sq = math.sqrt(disc)
+            roots.extend(((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)))
+    return [lo + t for t in roots if 0.0 < t < span]
+
+
+def _reference_skyline_at(center, range_R, objects, t, pre_filtered=False):
+    cx, cy = position_at(center, t)
+    rows = []
+    for o in objects:
+        ox, oy = o.position_at(t)
+        d = math.hypot(ox - cx, oy - cy)
+        if pre_filtered or d <= range_R:
+            rows.append((d, o.attrs.canonical(), o))
+    # sort-filter skyline over every key length
+    kept = []
+    for row in sorted(rows, key=lambda r: (r[0], r[1])):
+        d, key, _ = row
+        if not any(
+            all(x <= y for x, y in zip(key2, key)) and (d2 < d or key2 != key)
+            for d2, key2, _ in kept
+        ):
+            kept.append(row)
+    return frozenset(o for _, _, o in kept)
+
+
+def reference_predict_timeline(center, range_R, objects, window, now):
+    lo = max(window[0], now)
+    hi = window[1]
+    if lo > hi:
+        return []
+    objs = sorted(objects, key=lambda o: o.id)
+    if lo == hi:
+        return [(_reference_skyline_at(center, range_R, objs, lo), (lo, hi))]
+    spans = {}
+    cuts = {lo, hi}
+    for o in objs:
+        si = safe_interval(
+            center, MotionState(o.position, o.velocity, o.observed_at), range_R, lo
+        )
+        si = monitoring_interval(si, (lo, hi))
+        if si.is_empty:
+            continue
+        spans[o.id] = si
+        cuts.add(si.enter)
+        cuts.add(min(si.leave, hi))
+    live = [o for o in objs if o.id in spans]
+    for i, a in enumerate(live):
+        for b in live[i + 1:]:
+            overlap = spans[a.id].intersect(spans[b.id])
+            if overlap.is_empty:
+                continue
+            for t in _reference_distance_flip_times(center, a, b, lo, hi):
+                if overlap.enter < t < min(overlap.leave, hi):
+                    cuts.add(t)
+    marks = sorted(cuts)
+    out = []
+    for a, b in zip(marks, marks[1:]):
+        mid = (a + b) / 2.0
+        members = [o for o in live if spans[o.id].contains(mid)]
+        sky = _reference_skyline_at(center, range_R, members, mid, pre_filtered=True)
+        extend_timeline(out, sky, a, b)
+    return out or [(frozenset(), (lo, hi))]
+
+
+# Grid-snapped motion makes exact distance ties, tangent crossings, equal
+# velocities (no quadratic term) and repeated attribute keys common; the
+# off-grid values make rounding depend on the order of evaluation.
+coords = st.one_of(
+    st.integers(-12, 12).map(lambda k: k * 10.0),
+    st.integers(-10**6, 10**6).map(lambda k: k / 8191.0),
+)
+speeds = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.integers(-50000, 50000).map(lambda k: k / 8191.0),
+)
+
+
+@st.composite
+def prediction_inputs(draw):
+    dims = draw(st.sampled_from([1, 3]))
+    directions = ("min",) if dims == 1 else ("min", "max", "min")
+    start = draw(st.sampled_from([0.0, 1.0, 2.5]))
+    end = start + draw(st.sampled_from([0.0, 0.0, 0.5, 4.0, 10.0]))
+    now = draw(st.sampled_from([0.0, start, start + 1.5]))
+    # anchors at or before the window start, hence at or before lo
+    anchor = st.sampled_from([0.0, start / 2.0, start])
+    center = MotionState(
+        (draw(coords), draw(coords)),
+        (draw(speeds), draw(speeds)),
+        draw(anchor),
+    )
+    n = draw(st.integers(0, 12))
+    ids = draw(st.permutations(range(n)))
+    attr = st.tuples(*[st.sampled_from([0.0, 1.0, 2.0])] * dims)
+    objs = [
+        DataObject(
+            i,
+            (draw(coords), draw(coords)),
+            (draw(speeds), draw(speeds)),
+            AttributeVector(draw(attr), directions),
+            draw(anchor),
+        )
+        for i in ids
+    ]
+    range_R = draw(st.sampled_from([30.0, 60.0, 100.0]))
+    return center, range_R, objs, (start, end), now
+
+
+def _id_segments(timeline):
+    return [({o.id for o in sky}, span) for sky, span in timeline]
+
+
+@settings(max_examples=400, deadline=None)
+@given(prediction_inputs())
+def test_predict_timeline_equals_reference_bit_for_bit(inputs):
+    # float bounds compare under ==, so a shifted cut fails
+    got = _id_segments(predict_timeline(*inputs))
+    assert got == _id_segments(reference_predict_timeline(*inputs))
