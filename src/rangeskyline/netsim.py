@@ -233,25 +233,18 @@ class Simulator:
 
     def neighbors_of(self, node_id: int, t: float) -> list[int]:
         """Ascending ids of all nodes within the transmission range (closed ball) at t."""
-        snapshot = self._positions_at(t)
+        if self._snapshot_t != t:
+            # (id, x, y) of every node, kept for the latest instant asked:
+            # plans are immutable and the node set is fixed, so it never goes stale
+            self._snapshot = [(nid, *self.nodes[nid].position(t)) for nid in sorted(self.nodes)]
+            self._snapshot_t = t
         mx, my = self.nodes[node_id].position(t)
         r2 = self.link.transmission_range**2
         return [
             nid
-            for nid, ox, oy in snapshot
+            for nid, ox, oy in self._snapshot
             if nid != node_id and (ox - mx) ** 2 + (oy - my) ** 2 <= r2
         ]
-
-    def _positions_at(self, t: float) -> list[tuple[int, float, float]]:
-        """(id, x, y) of every node at t in ascending id order.
-
-        Kept for the latest instant asked; plans are immutable and the node
-        set is fixed at construction, so an entry never goes stale.
-        """
-        if self._snapshot_t != t:
-            self._snapshot = [(nid, *self.nodes[nid].position(t)) for nid in sorted(self.nodes)]
-            self._snapshot_t = t
-        return self._snapshot
 
     def in_contact(self, a: int, b: int, t: float) -> bool:
         ax, ay = self.nodes[a].position(t)
