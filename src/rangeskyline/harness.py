@@ -11,6 +11,7 @@ trajectories, attribute draws, and query windows.
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from dataclasses import dataclass, fields, replace
@@ -71,6 +72,10 @@ class Scenario:
     replications: int = 20
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if self.area_width <= 0:
             raise ValueError("area_width must be > 0")
         if self.area_height <= 0:
@@ -81,6 +86,8 @@ class Scenario:
             raise ValueError("query_count must be >= 1")
         if self.report_interval <= 0:
             raise ValueError("report_interval must be > 0")
+        if self.speed_min < 0:
+            raise ValueError("speed_min must be >= 0")
         if self.speed_min > self.speed_max:
             raise ValueError("speed_min must not exceed speed_max")
         if self.ttl_cap < 0:
@@ -300,7 +307,6 @@ def run_scenario(scenario: Scenario, seed: object, approach: str) -> RunResult:
     moving = scenario.speed_max > 0.0
     if not scenario.is_snapshot and moving and mode == MODE_DISTRIBUTED:
         proto.schedule_mobility()
-        proto.schedule_contacts()
     for k, window in enumerate(windows):
         issuer = scenario.node_count + k
         desc = QueryDescriptor(

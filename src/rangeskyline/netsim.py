@@ -60,6 +60,8 @@ class LinkModel:
             raise ValueError("delivery probability must lie in (0, 1]")
         if self.bandwidth_bps <= 0:
             raise ValueError("bandwidth_bps must be > 0")
+        if self.packet_size_bits <= 0:
+            raise ValueError("packet_size_bits must be > 0")
         if self.per_hop_latency < 0:
             raise ValueError("per_hop_latency must be >= 0")
 
@@ -74,11 +76,13 @@ class LinkModel:
 
 @dataclass(frozen=True)
 class Message:
-    """One network packet carrying exactly one object or one query descriptor."""
+    """One network packet carrying exactly one object or one query descriptor.
+
+    The hop it travels is not part of it: the delivery event carries the
+    (sender, receiver) pair, so one object passes unchanged from hop to hop.
+    """
 
     msg_type: str
-    source: int
-    dest: int
     ttl: int
     query_id: int
     payload: object = None
@@ -167,7 +171,6 @@ class Simulator:
         link: LinkModel,
         seed: int = 0,
         horizon: float = 60.0,
-        keep_trace: bool = True,
     ) -> None:
         self.nodes: dict[int, NodeRuntime] = {n.id: n for n in nodes}
         if len(self.nodes) != len(nodes):
@@ -177,7 +180,6 @@ class Simulator:
         self.clock = 0.0
         self.stats = MessageStats()
         self.trace: list[str] = []
-        self.keep_trace = keep_trace
         self._heap: list = []
         self._seq = itertools.count()
         self._handlers: dict[str, Callable] = {}
@@ -198,10 +200,13 @@ class Simulator:
     def register(self, kind: str, handler: Callable) -> None:
         self._handlers[kind] = handler
 
-    def schedule(self, fire_at: float, kind: str, payload: object = None) -> None:
+    def schedule(
+        self, fire_at: float, kind: str, payload: object = None, hop: tuple[int, int] | None = None
+    ) -> None:
+        """Queue an event; a message delivery also carries its (sender, receiver) hop."""
         if fire_at < self.clock:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (fire_at, next(self._seq), kind, payload))
+        heapq.heappush(self._heap, (fire_at, next(self._seq), kind, payload, hop))
 
     def schedule_initial(self, fire_at: float, kind: str, query_id: int, payload: object) -> None:
         """Schedule work that belongs to a query's first collection wave.
@@ -219,10 +224,10 @@ class Simulator:
         """
         stop = self.horizon if until is None else until
         while self._heap and self._heap[0][0] <= stop:
-            fire_at, _, kind, payload = heapq.heappop(self._heap)
+            fire_at, _, kind, payload, hop = heapq.heappop(self._heap)
             self.clock = fire_at
             if kind == EVENT_MESSAGE:
-                self._deliver(payload)
+                self._deliver(payload, *hop)
             else:
                 self._trace_event(kind, payload)
                 handler = self._handlers.get(kind)
@@ -255,18 +260,18 @@ class Simulator:
 
     def _transmit(self, sender: int, receiver: int, msg: Message, arrive: float) -> bool:
         if self._loss_rng[sender].random() >= self.link.delivery_prob:
-            return self._drop(msg, receiver)
+            return self._drop(msg, sender, receiver)
         self.stats.sent[msg.msg_type] += 1
         if msg.initial:
             self._pending_initial[msg.query_id] += 1
-        self.schedule(arrive, EVENT_MESSAGE, replace(msg, dest=receiver))
+        self.schedule(arrive, EVENT_MESSAGE, msg, (sender, receiver))
         return True
 
-    def _drop(self, msg: Message, receiver: int) -> bool:
+    def _drop(self, msg: Message, sender: int, receiver: int) -> bool:
         """Count and trace a message that was sent but never arrives."""
         self.stats.sent[msg.msg_type] += 1
         self.stats.lost[msg.msg_type] += 1
-        self._trace_msg(EVENT_MESSAGE_LOST, msg, receiver)
+        self._trace_msg(EVENT_MESSAGE_LOST, msg, sender, receiver)
         return False
 
     def _next_slot(self, sender: int) -> float:
@@ -288,7 +293,7 @@ class Simulator:
     def unicast(self, sender: int, receiver: int, msg: Message) -> bool:
         """Send one packet to a specific node; drops if it moved out of range."""
         if receiver not in self.nodes or not self.in_contact(sender, receiver, self.clock):
-            return self._drop(msg, receiver)
+            return self._drop(msg, sender, receiver)
         return self._transmit(sender, receiver, msg, self._next_slot(sender))
 
     # -- flooding and reverse paths ------------------------------------------
@@ -296,36 +301,30 @@ class Simulator:
     def flood(self, origin: int, msg: Message) -> None:
         """Start a TTL-limited flood of a query message from its origin."""
         self._seen_floods[origin].add((msg.query_id, msg.generation))
-        self.broadcast(origin, replace(msg, source=origin))
+        self.broadcast(origin, msg)
 
     def reverse_forward(self, sender: int, msg: Message) -> bool:
         """Unicast toward the query origin along the recorded reverse path."""
         parent = self.reverse_parent.get((sender, msg.query_id))
         if parent is None:
-            return self._drop(msg, BROADCAST)
-        return self.unicast(sender, parent, replace(msg, source=sender))
+            return self._drop(msg, sender, BROADCAST)
+        return self.unicast(sender, parent, msg)
 
-    def _deliver(self, msg: Message) -> None:
+    def _deliver(self, msg: Message, sender: int, receiver: int) -> None:
         self.stats.delivered[msg.msg_type] += 1
-        self._trace_msg(EVENT_MESSAGE, msg, msg.dest)
-        node = self.nodes[msg.dest]
+        self._trace_msg(EVENT_MESSAGE, msg, sender, receiver)
+        fresh = True
         if msg.msg_type == MSG_QUERY:
             key = (msg.query_id, msg.generation)
-            seen = self._seen_floods[msg.dest]
-            if key not in seen:
+            seen = self._seen_floods[receiver]
+            fresh = key not in seen
+            if fresh:
                 seen.add(key)
-                if (msg.dest, msg.query_id) not in self.reverse_parent:
-                    self.reverse_parent[(msg.dest, msg.query_id)] = msg.source
+                self.reverse_parent.setdefault((receiver, msg.query_id), sender)
                 if msg.ttl > 0:
-                    self.broadcast(
-                        msg.dest,
-                        replace(msg, source=msg.dest, ttl=msg.ttl - 1, dest=BROADCAST),
-                    )
-                if self.on_message is not None:
-                    self.on_message(msg.dest, msg, self.clock)
-        else:
-            if self.on_message is not None:
-                self.on_message(msg.dest, msg, self.clock)
+                    self.broadcast(receiver, replace(msg, ttl=msg.ttl - 1))
+        if fresh and self.on_message is not None:
+            self.on_message(receiver, msg, self.clock)
         if msg.initial:
             self.settle_initial(msg.query_id)
 
@@ -348,16 +347,13 @@ class Simulator:
 
     # -- tracing ---------------------------------------------------------------
 
-    def _trace_msg(self, kind: str, msg: Message, dest: int) -> None:
-        if self.keep_trace:
-            self.trace.append(
-                f"{self.clock:.9f}\t{kind}\t{msg.source}\t{dest}\t{msg.msg_type}"
-                f"\t{msg.ttl}\t{msg.query_id}\t{msg.object_id}"
-            )
+    def _trace_msg(self, kind: str, msg: Message, sender: int, receiver: int) -> None:
+        self.trace.append(
+            f"{self.clock:.9f}\t{kind}\t{sender}\t{receiver}\t{msg.msg_type}"
+            f"\t{msg.ttl}\t{msg.query_id}\t{msg.object_id}"
+        )
 
     def _trace_event(self, kind: str, payload: object) -> None:
-        if not self.keep_trace:
-            return
         node = "-"
         qid = "-"
         if isinstance(payload, dict):

@@ -33,7 +33,6 @@ from rangeskyline.kinematics import (
     safe_interval,
 )
 from rangeskyline.netsim import (
-    BROADCAST,
     EVENT_PERIODIC,
     EVENT_QUERY_EXPIRE,
     EVENT_QUERY_ISSUE,
@@ -301,7 +300,6 @@ class QueryProtocol:
         self.mode = mode
         self.report_interval = report_interval
         self.outcomes: dict[int, QueryOutcome] = {}
-        self._contacts_enabled = False
         sim.on_message = self._on_message
         sim.on_collection_complete = self._on_collection_complete
         sim.register(EVENT_QUERY_ISSUE, self._on_issue)
@@ -321,14 +319,14 @@ class QueryProtocol:
         )
 
     def schedule_mobility(self) -> None:
-        """Waypoint-arrival events for every node's leg changes."""
+        """Waypoint-arrival events for every node's leg changes, then contact triggers."""
         for nid in sorted(self.sim.nodes):
             for t in self.sim.nodes[nid].plan.leg_change_times(0.0, self.sim.horizon):
                 self.sim.schedule(t, EVENT_WAYPOINT, {"node": nid})
+        self.schedule_contacts()
 
     def schedule_contacts(self) -> None:
         """Range-crossing triggers for all node pairs on their current legs."""
-        self._contacts_enabled = True
         ids = sorted(self.sim.nodes)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
@@ -402,7 +400,7 @@ class QueryProtocol:
         issuer.store_query(desc.query_id, SensorQueryState(descriptor=desc))
         self.sim.flood(
             desc.issuer,
-            Message(MSG_QUERY, desc.issuer, BROADCAST, desc.ttl, desc.query_id, payload=desc,
+            Message(MSG_QUERY, desc.ttl, desc.query_id, payload=desc,
                     generation=desc.generation, initial=desc.generation == 0),
         )
         return desc
@@ -465,13 +463,13 @@ class QueryProtocol:
         state = self.sim.nodes[node_id].query_buffer.get(msg.query_id)
         if state is None:
             # plain relay on the reverse path, no local processing
-            self.sim.reverse_forward(node_id, replace(msg, source=node_id))
+            self.sim.reverse_forward(node_id, msg)
             return
         if self._expired(state.descriptor, t):
             return
         if self.mode == MODE_CENTRALIZED:
             # no pruning: relay every report toward the issuer
-            self.sim.reverse_forward(node_id, replace(msg, source=node_id))
+            self.sim.reverse_forward(node_id, msg)
             return
         keep_newest(state.known, msg.payload)
         if not state.replied:
@@ -527,8 +525,7 @@ class QueryProtocol:
     ) -> None:
         for obj in objects:
             self.sim.reverse_forward(
-                node_id,
-                Message(msg_type, node_id, BROADCAST, 0, qid, payload=obj, initial=initial),
+                node_id, Message(msg_type, 0, qid, payload=obj, initial=initial)
             )
 
     # -- issuer-side computation -----------------------------------------------------
@@ -593,10 +590,9 @@ class QueryProtocol:
                 self._reflood(qid, t)
                 self._schedule_issuer_recompute(outcome, t)
         self._touch_holders_near(moved, t)
-        if self._contacts_enabled:
-            for other in sorted(self.sim.nodes):
-                if other != moved:
-                    self._schedule_pair_contact(min(moved, other), max(moved, other), t)
+        for other in sorted(self.sim.nodes):
+            if other != moved:
+                self._schedule_pair_contact(min(moved, other), max(moved, other), t)
 
     def _touch_holders_near(self, moved: int, t: float) -> None:
         for nid in self.sim.neighbors_of(moved, t) + [moved]:
@@ -635,8 +631,7 @@ class QueryProtocol:
             state = SensorQueryState(descriptor=desc, replied=True)
             if not taker.store_query(qid, state):
                 continue
-            if (learner, qid) not in self.sim.reverse_parent:
-                self.sim.reverse_parent[(learner, qid)] = holder
+            self.sim.reverse_parent.setdefault((learner, qid), holder)
             self._monitor_tick(learner, state, t)
 
     def _on_periodic_round(self, payload: dict, t: float) -> None:

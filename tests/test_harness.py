@@ -238,6 +238,17 @@ def test_cli_rejects_unreadable_scenario(tmp_path):
         "ttl_centralized = -2",
         "area_width = 0",
         "area_height = -100",
+        "delta_t = inf",
+        "sim_horizon = inf",
+        "transmission_range = inf",
+        "area_height = -inf",
+        "per_hop_latency = nan",
+        "packet_size_bits = nan",
+        "query_range = nan",
+        "area_width = nan",
+        "speed_min = -5",
+        "packet_size_bits = -1024",
+        "packet_size_bits = 0",
     ],
 )
 def test_cli_rejects_invalid_scenario(tmp_path, line):

@@ -1,15 +1,18 @@
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 from rangeskyline.kinematics import WaypointPlan
 from rangeskyline.netsim import (
     BROADCAST,
+    EVENT_MESSAGE,
+    EVENT_MESSAGE_LOST,
     EVENT_QUERY_ISSUE,
     LinkModel,
     Message,
     MSG_QUERY,
     MSG_REPLY,
+    MSG_UPDATE,
     NodeRuntime,
     Simulator,
 )
@@ -28,7 +31,16 @@ def build_sim(coords, r, p=1.0, seed=0):
 
 
 def query_msg(ttl, qid=1, initial=False):
-    return Message(MSG_QUERY, 0, BROADCAST, ttl, qid, payload=None, initial=initial)
+    return Message(MSG_QUERY, ttl, qid, payload=None, initial=initial)
+
+
+def traced_hops(sim, kind, msg_type):
+    """(src, dst) columns of the trace lines of one event kind and message type."""
+    return [
+        (int(f[2]), int(f[3]))
+        for f in (line.split("\t") for line in sim.trace)
+        if f[1] == kind and f[4] == msg_type
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +147,7 @@ def test_reply_three_hops_costs_three_messages():
     run_flood(sim, ttl=3)
     relay_replies_to_origin(sim)
     obj = static_node(99, 30, 0)
-    sim.reverse_forward(3, Message(MSG_REPLY, 3, 2, 0, 1, payload=None))
+    sim.reverse_forward(3, Message(MSG_REPLY, 0, 1, payload=None))
     sim.run()
     assert sim.stats.sent[MSG_REPLY] == 3
     assert sim.stats.delivered[MSG_REPLY] == 3
@@ -147,7 +159,7 @@ def test_reply_four_objects_two_hops_costs_eight():
     run_flood(sim, ttl=2)
     relay_replies_to_origin(sim)
     for _ in range(4):
-        sim.reverse_forward(2, Message(MSG_REPLY, 2, 1, 0, 1, payload=None))
+        sim.reverse_forward(2, Message(MSG_REPLY, 0, 1, payload=None))
     sim.run()
     assert sim.stats.sent[MSG_REPLY] == 8
 
@@ -155,10 +167,47 @@ def test_reply_four_objects_two_hops_costs_eight():
 def test_reply_without_parent_is_dropped_as_loss():
     coords = [(0, 0), (10, 0)]
     sim = build_sim(coords, r=12.0)
-    ok = sim.reverse_forward(1, Message(MSG_REPLY, 1, 0, 0, 7, payload=None))
+    ok = sim.reverse_forward(1, Message(MSG_REPLY, 0, 7, payload=None))
     assert not ok
     assert sim.stats.lost[MSG_REPLY] == 1
+    assert traced_hops(sim, EVENT_MESSAGE_LOST, MSG_REPLY) == [(1, BROADCAST)]
     assert sim.stats.delivered.get(MSG_REPLY, 0) == 0
+
+
+def test_trace_names_each_hop_sender_and_receiver():
+    # one message object travels every hop; the trace reads the hop, not the message
+    coords = [(0, 0), (10, 0), (20, 0), (30, 0)]
+    sim = build_sim(coords, r=12.0)
+    run_flood(sim, ttl=3)
+    assert traced_hops(sim, EVENT_MESSAGE, MSG_QUERY) == [
+        (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)
+    ]
+    relay_replies_to_origin(sim)
+    sim.reverse_forward(3, Message(MSG_REPLY, 0, 1, payload=None))
+    sim.run()
+    assert traced_hops(sim, EVENT_MESSAGE, MSG_REPLY) == [(3, 2), (2, 1), (1, 0)]
+
+    star = build_sim([(0, 0), (10, 0), (0, 10), (-10, 0)], r=12.0)
+    star.broadcast(0, Message(MSG_UPDATE, 0, 1, payload=None))
+    star.run()
+    assert traced_hops(star, EVENT_MESSAGE, MSG_UPDATE) == [(0, 1), (0, 2), (0, 3)]
+
+
+def test_pending_deliveries_carry_the_message_at_heap_slot_three():
+    # benchmarks/run.py counts messages still in flight when run() returns as
+    # e[3].msg_type of every heap entry e whose e[2] is a message delivery
+    sim = build_sim([(0, 0), (10, 0), (0, 10), (-10, 0)], r=12.0)
+    update = Message(MSG_UPDATE, 0, 1, payload=None)
+    reply = Message(MSG_REPLY, 0, 1, payload=None)
+    sim.broadcast(0, update)
+    sim.unicast(0, 2, reply)
+    sim.schedule(0.002, EVENT_QUERY_ISSUE, {"node": 0})
+    sim.run(until=0.001)
+    assert len(sim._heap) == 5
+    pending = sorted(e for e in sim._heap if e[2] == EVENT_MESSAGE)
+    assert [e[3] for e in pending] == [update, update, update, reply]
+    assert pending[0][3] is pending[1][3] is pending[2][3]
+    assert Counter(e[3].msg_type for e in pending) == {MSG_UPDATE: 3, MSG_REPLY: 1}
 
 
 def test_loss_model_delivery_ratio():
@@ -166,7 +215,7 @@ def test_loss_model_delivery_ratio():
     sim = build_sim(coords, r=12.0, p=0.9, seed=123)
     run_flood(sim, ttl=0)
     for _ in range(1000):
-        sim.unicast(0, 1, Message(MSG_REPLY, 0, 1, 0, 1, payload=None))
+        sim.unicast(0, 1, Message(MSG_REPLY, 0, 1, payload=None))
     sim.run()
     ratio = sim.stats.delivered[MSG_REPLY] / 1000
     assert abs(ratio - 0.9) <= 0.03
@@ -247,7 +296,7 @@ def test_conservation_sent_equals_delivered_plus_lost():
     run_flood(sim, ttl=3)
     for node in range(1, 15):
         if (node, 1) in sim.reverse_parent:
-            sim.reverse_forward(node, Message(MSG_REPLY, node, 0, 0, 1, payload=None))
+            sim.reverse_forward(node, Message(MSG_REPLY, 0, 1, payload=None))
     sim.run()
     assert sim.stats.sent_total == sim.stats.delivered_total + sim.stats.lost_total
     assert sim.stats.sent_total > 0
@@ -291,7 +340,7 @@ def test_hand_traced_message_count_on_frozen_topology():
 
     def on_message(node, msg, t):
         if msg.msg_type == MSG_QUERY:
-            sim.reverse_forward(node, Message(MSG_REPLY, node, 0, 0, 1, payload=None))
+            sim.reverse_forward(node, Message(MSG_REPLY, 0, 1, payload=None))
         elif msg.msg_type == MSG_REPLY and node != 0:
             sim.reverse_forward(node, msg)
 
@@ -319,7 +368,7 @@ def test_transmit_queue_serializes_bursts():
     run_flood(sim, ttl=0)
     base = sim.clock
     for _ in range(3):
-        sim.unicast(0, 1, Message(MSG_REPLY, 0, 1, 0, 1, payload=None))
+        sim.unicast(0, 1, Message(MSG_REPLY, 0, 1, payload=None))
     sim.run()
     arrivals = [
         float(line.split("\t")[0])

@@ -71,7 +71,6 @@ def run_query(nodes, issuer_id, R, ttl, mode, r=60.0, p=1.0, seed=0, window=None
     )
     if continuous_setup:
         proto.schedule_mobility()
-        proto.schedule_contacts()
     proto.issue(desc, issue_at)
     sim.run()
     return sim, proto, proto.outcomes[1]
