@@ -34,7 +34,7 @@ from rangeskyline.protocols import (
     QueryDescriptor,
     QueryProtocol,
 )
-from rangeskyline.skyline import AttributeVector
+from rangeskyline.skyline import MAXIMIZE, MINIMIZE, AttributeVector
 
 APPROACHES = ("centralized", "drsq", "dcrsq")
 
@@ -94,6 +94,19 @@ class Scenario:
             raise ValueError("ttl_cap must be >= 0")
         if self.ttl_centralized < 0:
             raise ValueError("ttl_centralized must be >= 0")
+        if self.delta_t < 0:
+            raise ValueError("delta_t must be >= 0")
+        if self.query_range <= 0:
+            raise ValueError("query_range must be > 0")
+        if self.transmission_range <= 0:
+            raise ValueError("transmission_range must be > 0")
+        if not 0.0 < self.delivery_prob <= 1.0:
+            raise ValueError("delivery_prob must lie in (0, 1]")
+        if self.attr_dims < 1:
+            raise ValueError("attr_dims must be >= 1")
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
+        self.directions()
 
     @property
     def area(self) -> float:
@@ -106,10 +119,13 @@ class Scenario:
     def directions(self) -> tuple[str, ...]:
         """Per-dimension preference flags; minimize everywhere by default."""
         if not self.attr_directions:
-            return tuple("min" for _ in range(self.attr_dims))
+            return tuple(MINIMIZE for _ in range(self.attr_dims))
         parts = tuple(p.strip() for p in self.attr_directions.split(","))
         if len(parts) != self.attr_dims:
             raise ValueError("attr_directions length must match attr_dims")
+        for d in parts:
+            if d not in (MINIMIZE, MAXIMIZE):
+                raise ValueError(f"attr_directions: unknown direction {d!r}")
         return parts
 
 
@@ -377,6 +393,8 @@ def sweep(
     if param != "none" and param not in {f.name for f in fields(Scenario)}:
         raise ValueError(f"unknown sweep parameter {param!r}")
     reps = scenario.replications if replications is None else replications
+    if reps < 1:
+        raise ValueError("replications must be >= 1")
     lines = [CSV_HEADER]
     for value in values:
         cell = scenario if param == "none" else replace(scenario, **{param: value})

@@ -19,18 +19,22 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class MotionState:
-    """Position and constant velocity valid from a given instant."""
+    """Position and constant velocity observed at a given instant."""
 
     position: tuple[float, float]
     velocity: tuple[float, float]
-    valid_from: float = 0.0
+    observed_at: float = 0.0
 
 
 def position_at(m: MotionState, t: float) -> tuple[float, float]:
-    """Linear extrapolation of m to time t; t must not precede valid_from."""
-    if t < m.valid_from:
-        raise ValueError(f"t={t} precedes valid_from={m.valid_from}")
-    dt = t - m.valid_from
+    """Linear extrapolation of m to time t; t must not precede observed_at.
+
+    m is any motion anchor with position, velocity and observed_at: a
+    MotionState or a carried DataObject.
+    """
+    if t < m.observed_at:
+        raise ValueError(f"t={t} precedes observed_at={m.observed_at}")
+    dt = t - m.observed_at
     return (m.position[0] + m.velocity[0] * dt, m.position[1] + m.velocity[1] * dt)
 
 

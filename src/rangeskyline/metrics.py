@@ -50,10 +50,10 @@ def oracle_timeline(
 
 
 def _epoch_segments(issuer, sensors, range_R, a, b):
-    center = issuer.motion_state(a)
+    center = issuer.plan.motion_state_at(a)
     objs = []
     for n in sensors:
-        state = n.motion_state(a)
+        state = n.plan.motion_state_at(a)
         objs.append(DataObject(n.id, state.position, state.velocity, n.attrs, a))
     return predict_timeline(center, range_R, objs, (a, b), a)
 

@@ -24,8 +24,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from rangeskyline.kinematics import MotionState, WaypointPlan
-from rangeskyline.skyline import AttributeVector
+from rangeskyline.kinematics import WaypointPlan
+from rangeskyline.skyline import AttributeVector, DataObject
 
 MSG_QUERY = "RSQ"
 MSG_REPLY = "RSQ_REPLY"
@@ -74,7 +74,7 @@ class LinkModel:
         return self.tx_time + self.per_hop_latency
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One network packet carrying exactly one object or one query descriptor.
 
@@ -88,11 +88,6 @@ class Message:
     payload: object = None
     generation: int = 0
     initial: bool = False
-
-    @property
-    def object_id(self) -> object:
-        pid = getattr(self.payload, "id", None)
-        return pid if pid is not None else "-"
 
 
 class NodeRuntime:
@@ -116,15 +111,6 @@ class NodeRuntime:
         self.query_buffer: dict[int, object] = {}
         self.tx_busy_until = 0.0
 
-    def motion_state(self, t: float) -> MotionState:
-        return self.plan.motion_state_at(t)
-
-    def position(self, t: float) -> tuple[float, float]:
-        return self.plan.position_at(t)
-
-    def leg_seq(self, t: float) -> int:
-        return self.plan.leg_index_at(t)
-
     def store_query(self, query_id: int, entry: object) -> bool:
         """Buffer a query's entry; refuses new queries past the limit."""
         if query_id not in self.query_buffer and len(self.query_buffer) >= self.buffer_limit:
@@ -140,21 +126,6 @@ class MessageStats:
     sent: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     delivered: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     lost: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def total(self, table: dict[str, int]) -> int:
-        return sum(table.values())
-
-    @property
-    def sent_total(self) -> int:
-        return self.total(self.sent)
-
-    @property
-    def delivered_total(self) -> int:
-        return self.total(self.delivered)
-
-    @property
-    def lost_total(self) -> int:
-        return self.total(self.lost)
 
 
 class Simulator:
@@ -241,9 +212,11 @@ class Simulator:
         if self._snapshot_t != t:
             # (id, x, y) of every node, kept for the latest instant asked:
             # plans are immutable and the node set is fixed, so it never goes stale
-            self._snapshot = [(nid, *self.nodes[nid].position(t)) for nid in sorted(self.nodes)]
+            self._snapshot = [
+                (nid, *n.plan.position_at(t)) for nid, n in sorted(self.nodes.items())
+            ]
             self._snapshot_t = t
-        mx, my = self.nodes[node_id].position(t)
+        mx, my = self.nodes[node_id].plan.position_at(t)
         r2 = self.link.transmission_range**2
         return [
             nid
@@ -252,8 +225,8 @@ class Simulator:
         ]
 
     def in_contact(self, a: int, b: int, t: float) -> bool:
-        ax, ay = self.nodes[a].position(t)
-        bx, by = self.nodes[b].position(t)
+        ax, ay = self.nodes[a].plan.position_at(t)
+        bx, by = self.nodes[b].plan.position_at(t)
         return (ax - bx) ** 2 + (ay - by) ** 2 <= self.link.transmission_range**2
 
     # -- transmission -------------------------------------------------------
@@ -348,9 +321,10 @@ class Simulator:
     # -- tracing ---------------------------------------------------------------
 
     def _trace_msg(self, kind: str, msg: Message, sender: int, receiver: int) -> None:
+        oid = msg.payload.id if isinstance(msg.payload, DataObject) else "-"
         self.trace.append(
             f"{self.clock:.9f}\t{kind}\t{sender}\t{receiver}\t{msg.msg_type}"
-            f"\t{msg.ttl}\t{msg.query_id}\t{msg.object_id}"
+            f"\t{msg.ttl}\t{msg.query_id}\t{oid}"
         )
 
     def _trace_event(self, kind: str, payload: object) -> None:

@@ -154,10 +154,7 @@ def predict_timeline(
     cuts: set[float] = {lo, hi}
     spans: list[tuple[DataObject, float, float]] = []
     for o in objs:
-        si = safe_interval(
-            center, MotionState(o.position, o.velocity, o.observed_at), range_R, lo
-        )
-        si = monitoring_interval(si, (lo, hi))
+        si = monitoring_interval(safe_interval(center, o, range_R, lo), (lo, hi))
         if si.is_empty:
             continue
         # leave <= hi: the monitoring interval ends at the window end
@@ -333,21 +330,21 @@ class QueryProtocol:
                 self._schedule_pair_contact(a, b, 0.0)
 
     def _schedule_pair_contact(self, a: int, b: int, t: float) -> None:
-        na, nb = self.sim.nodes[a], self.sim.nodes[b]
-        la, lb = na.plan.leg_at(t), nb.plan.leg_at(t)
-        valid_until = min(la.t_end, lb.t_end, self.sim.horizon)
-        if valid_until <= t:
+        """Trigger when a and b come into range strictly before either leg ends.
+
+        Legs cover [t_start, t_end), so the trigger fires on the legs it was
+        computed from and needs no leg stamp (a kinetic certificate).
+        """
+        pa, pb = self.sim.nodes[a].plan, self.sim.nodes[b].plan
+        leg_end = min(pa.leg_at(t).t_end, pb.leg_at(t).t_end)
+        if min(leg_end, self.sim.horizon) <= t:
             return
         si = safe_interval(
-            na.motion_state(t), nb.motion_state(t), self.sim.link.transmission_range, t
+            pa.motion_state_at(t), pb.motion_state_at(t), self.sim.link.transmission_range, t
         )
-        if si.is_empty or si.enter <= t or si.enter > valid_until:
+        if si.is_empty or not t < si.enter < leg_end or si.enter > self.sim.horizon:
             return
-        self.sim.schedule(
-            si.enter,
-            EVENT_SAFE_TIME,
-            {"a": a, "b": b, "leg_a": na.leg_seq(t), "leg_b": nb.leg_seq(t)},
-        )
+        self.sim.schedule(si.enter, EVENT_SAFE_TIME, {"a": a, "b": b})
 
     # -- sensing ---------------------------------------------------------------
 
@@ -361,7 +358,7 @@ class QueryProtocol:
                     node_id, leg.position_at(leg.t_end), (0.0, 0.0), node.attrs, leg.t_end
                 )
             return DataObject(node_id, leg.origin, leg.velocity, node.attrs, leg.t_start)
-        state = node.motion_state(t)
+        state = node.plan.motion_state_at(t)
         return DataObject(node_id, state.position, state.velocity, node.attrs, t)
 
     def _sense_neighborhood(self, node_id: int, state: SensorQueryState, t: float) -> None:
@@ -396,7 +393,7 @@ class QueryProtocol:
         Generation 0 is the initial wave, whose collection the engine tracks.
         """
         issuer = self.sim.nodes[desc.issuer]
-        desc = replace(desc, issuer_state=issuer.motion_state(t))
+        desc = replace(desc, issuer_state=issuer.plan.motion_state_at(t))
         issuer.store_query(desc.query_id, SensorQueryState(descriptor=desc))
         self.sim.flood(
             desc.issuer,
@@ -549,7 +546,7 @@ class QueryProtocol:
         t0, t_end = desc.window
         if t > t_end:
             return
-        center = self.sim.nodes[desc.issuer].motion_state(t)
+        center = self.sim.nodes[desc.issuer].plan.motion_state_at(t)
         if self.mode == MODE_CENTRALIZED:
             # raw reported positions, no extrapolation
             q = QuerySnapshot(center.position, desc.range_R)
@@ -610,9 +607,6 @@ class QueryProtocol:
             self._issuer_recompute(self.outcomes[payload["recompute"]], t)
             return
         a, b = payload["a"], payload["b"]
-        na, nb = self.sim.nodes[a], self.sim.nodes[b]
-        if na.leg_seq(t) != payload["leg_a"] or nb.leg_seq(t) != payload["leg_b"]:
-            return
         self._piggyback(a, b, t)
         self._piggyback(b, a, t)
         for nid in (min(a, b), max(a, b)):

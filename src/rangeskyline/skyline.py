@@ -54,7 +54,11 @@ class AttributeVector:
 
 @dataclass(frozen=True)
 class DataObject:
-    """One mobile sensor node's record: identity, motion snapshot, sensed data."""
+    """One mobile sensor node's record: identity, motion snapshot, sensed data.
+
+    Its position, velocity and observed_at form a motion anchor, which
+    kinematics.position_at and safe_interval take as it is.
+    """
 
     id: int
     position: tuple[float, float]
@@ -65,14 +69,6 @@ class DataObject:
     def __post_init__(self) -> None:
         if self.observed_at < 0:
             raise ValueError("observed_at must be >= 0")
-
-    def position_at(self, t: float) -> tuple[float, float]:
-        """Linear extrapolation of the carried motion state to time t."""
-        dt = t - self.observed_at
-        return (
-            self.position[0] + self.velocity[0] * dt,
-            self.position[1] + self.velocity[1] * dt,
-        )
 
 
 @dataclass(frozen=True)

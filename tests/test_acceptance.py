@@ -68,7 +68,7 @@ def snapshot_soundness_runs():
 
 def unreachable_from(nodes, issuer_id, r, t):
     """Ids with no radio path to the issuer on the static geometric graph."""
-    pos = {n.id: n.position(t) for n in nodes}
+    pos = {n.id: n.plan.position_at(t) for n in nodes}
     ids = sorted(pos)
     seen = {issuer_id}
     dq = deque([issuer_id])
@@ -151,7 +151,7 @@ def knowledge_contacts(nodes, issuer_id, window, r, ttl, step=0.05):
     """
     pad = 2.0 * 5.0 * step  # two movers at <= 5 m/s per sampling step
     t0 = window[0]
-    pos0 = {n.id: n.position(t0) for n in nodes}
+    pos0 = {n.id: n.plan.position_at(t0) for n in nodes}
     informed = {issuer_id}
     frontier = deque([(issuer_id, 0)])
     while frontier:
@@ -165,7 +165,7 @@ def knowledge_contacts(nodes, issuer_id, window, r, ttl, step=0.05):
     seen: dict[int, list[float]] = {n.id: [] for n in nodes}
     t = t0
     while t <= window[1] + 1e-9:
-        pos = {n.id: n.position(t) for n in nodes}
+        pos = {n.id: n.plan.position_at(t) for n in nodes}
         grew = True
         while grew:
             grew = False
@@ -265,9 +265,9 @@ def test_criterion_2_continuous_soundness(continuous_soundness_runs):
 def _dominates_truly(d_node, e_node, issuer, t):
     from rangeskyline.skyline import DataObject, QuerySnapshot, dominates_wrt
 
-    q = QuerySnapshot(issuer.position(t), 1.0e9)
-    d_obj = DataObject(d_node.id, d_node.position(t), (0.0, 0.0), d_node.attrs, t)
-    e_obj = DataObject(e_node.id, e_node.position(t), (0.0, 0.0), e_node.attrs, t)
+    q = QuerySnapshot(issuer.plan.position_at(t), 1.0e9)
+    d_obj = DataObject(d_node.id, d_node.plan.position_at(t), (0.0, 0.0), d_node.attrs, t)
+    e_obj = DataObject(e_node.id, e_node.plan.position_at(t), (0.0, 0.0), e_node.attrs, t)
     return dominates_wrt(q, d_obj, e_obj)
 
 

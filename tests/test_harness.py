@@ -249,6 +249,14 @@ def test_cli_rejects_unreadable_scenario(tmp_path):
         "speed_min = -5",
         "packet_size_bits = -1024",
         "packet_size_bits = 0",
+        "delta_t = -1",
+        "query_range = 0",
+        "transmission_range = 0",
+        "delivery_prob = 0",
+        "delivery_prob = 1.5",
+        "attr_dims = 0",
+        "attr_directions = up",
+        "replications = 0",
     ],
 )
 def test_cli_rejects_invalid_scenario(tmp_path, line):
@@ -259,6 +267,18 @@ def test_cli_rejects_invalid_scenario(tmp_path, line):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert line.split(" = ")[0] in proc.stderr
+
+
+def test_cli_sweep_rejects_nonpositive_reps(tmp_path):
+    cfg = _mini_cfg(tmp_path)
+    proc = run_cli(
+        "sweep", "--preset", "scenario1", "--scenario", str(cfg),
+        "--param", "node_count", "--values", "20", "--reps", "-2",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "replications" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cli_run_trace_is_deterministic(tmp_path):

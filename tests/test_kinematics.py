@@ -27,10 +27,10 @@ HORIZON = 20.0
 
 def sampled_interval(q, s, R, now, horizon=HORIZON, dt=DT):
     t = np.arange(now, now + horizon, dt)
-    qx = q.position[0] + q.velocity[0] * (t - q.valid_from)
-    qy = q.position[1] + q.velocity[1] * (t - q.valid_from)
-    sx = s.position[0] + s.velocity[0] * (t - s.valid_from)
-    sy = s.position[1] + s.velocity[1] * (t - s.valid_from)
+    qx = q.position[0] + q.velocity[0] * (t - q.observed_at)
+    qy = q.position[1] + q.velocity[1] * (t - q.observed_at)
+    sx = s.position[0] + s.velocity[0] * (t - s.observed_at)
+    sy = s.position[1] + s.velocity[1] * (t - s.observed_at)
     inside = (qx - sx) ** 2 + (qy - sy) ** 2 <= R * R
     if not inside.any():
         return None

@@ -27,9 +27,9 @@ def static_node(nid, x, y, attr=None):
 
 def truth_at(nodes, issuer_id, R, t):
     issuer = next(n for n in nodes if n.id == issuer_id)
-    q = QuerySnapshot(issuer.position(t), R)
+    q = QuerySnapshot(issuer.plan.position_at(t), R)
     objs = {
-        DataObject(n.id, n.position(t), (0.0, 0.0), n.attrs, t)
+        DataObject(n.id, n.plan.position_at(t), (0.0, 0.0), n.attrs, t)
         for n in nodes
         if n.attrs is not None and n.id != issuer_id
     }

@@ -4,6 +4,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangeskyline.harness import run_scenario, scenario2
 from rangeskyline.kinematics import (
     MotionState,
     WaypointPlan,
@@ -12,6 +13,7 @@ from rangeskyline.kinematics import (
     safe_interval,
 )
 from rangeskyline.netsim import (
+    EVENT_SAFE_TIME,
     LinkModel,
     MSG_REPLY,
     MSG_UPDATE,
@@ -78,9 +80,9 @@ def run_query(nodes, issuer_id, R, ttl, mode, r=60.0, p=1.0, seed=0, window=None
 
 def oracle_snapshot(nodes, issuer_id, R, t):
     issuer = next(n for n in nodes if n.id == issuer_id)
-    q = QuerySnapshot(issuer.position(t), R)
+    q = QuerySnapshot(issuer.plan.position_at(t), R)
     objs = {
-        DataObject(n.id, n.position(t), (0.0, 0.0), n.attrs, t)
+        DataObject(n.id, n.plan.position_at(t), (0.0, 0.0), n.attrs, t)
         for n in nodes
         if n.attrs is not None
     }
@@ -182,7 +184,7 @@ def test_distributed_sends_fewer_messages_than_centralized():
     sim_d, _, _ = run_query(nodes, 0, R=100.0, ttl=2, mode=MODE_DISTRIBUTED, r=90.0)
     nodes2 = random_static_world(random.Random(31), 40)
     sim_c, _, _ = run_query(nodes2, 0, R=100.0, ttl=5, mode=MODE_CENTRALIZED, r=90.0)
-    assert sim_d.stats.sent_total < sim_c.stats.sent_total
+    assert sum(sim_d.stats.sent.values()) < sum(sim_c.stats.sent.values())
 
 
 def test_centralized_reply_count_matches_hand_count():
@@ -380,6 +382,55 @@ def test_empty_collection_is_flagged_low_confidence():
     assert not ok.low_confidence
 
 
+# ---------------------------------------------------------------------------
+# contact triggers as kinetic certificates
+# ---------------------------------------------------------------------------
+
+def contact_triggers(sim):
+    return sorted((e[0], e[3]) for e in sim._heap if e[2] == EVENT_SAFE_TIME)
+
+
+def test_contact_at_a_leg_end_schedules_no_trigger():
+    # the mover reaches (25, 0), exactly the range 75 from the static node,
+    # at the instant its first leg ends: a trigger there would fire on the
+    # next leg, so none is scheduled
+    for target, expected in (((25.0, 0.0), []), ((30.0, 0.0), [(25.0, {"a": 0, "b": 1})])):
+        mover = sensor(0, moving_plan(0, 0, target, 1.0), 1.0)
+        nodes = [mover, sensor(1, static_plan(100, 0), 1.0)]
+        sim = Simulator(nodes, LinkModel(transmission_range=75.0), horizon=60.0)
+        QueryProtocol(sim).schedule_contacts()
+        assert contact_triggers(sim) == expected
+
+
+def test_contact_triggers_fire_on_the_legs_they_were_computed_from(monkeypatch):
+    scheduled = []
+    fired = []
+    schedule = Simulator.schedule
+    on_trigger = QueryProtocol._on_trigger
+
+    def record_schedule(sim, fire_at, kind, payload=None, hop=None):
+        if kind == EVENT_SAFE_TIME and "a" in payload:
+            scheduled.append((sim, sim.clock, fire_at, payload))
+        schedule(sim, fire_at, kind, payload, hop)
+
+    def record_trigger(proto, payload, t):
+        if "a" in payload:
+            fired.append((payload, t))
+        on_trigger(proto, payload, t)
+
+    monkeypatch.setattr(Simulator, "schedule", record_schedule)
+    monkeypatch.setattr(QueryProtocol, "_on_trigger", record_trigger)
+    run_scenario(scenario2(), "golden:0", "dcrsq")
+    # every trigger is scheduled within the horizon, so every one fires
+    fired_at = {id(payload): t for payload, t in fired}
+    assert fired and len(fired_at) == len(scheduled)
+    for sim, t_sched, fire_at, payload in scheduled:
+        assert fired_at[id(payload)] == fire_at
+        for nid in (payload["a"], payload["b"]):
+            plan = sim.nodes[nid].plan
+            assert plan.leg_index_at(fire_at) == plan.leg_index_at(t_sched), (nid, t_sched, fire_at)
+
+
 def test_predicted_segments_match_direct_skyline_at_samples():
     # per-segment sets must equal the plain range-skyline of extrapolated
     # positions at any instant inside the segment
@@ -414,7 +465,7 @@ def test_predicted_segments_match_direct_skyline_at_samples():
                 cy = center.position[1] + center.velocity[1] * t
                 q = QuerySnapshot((cx, cy), R)
                 moved = {
-                    DataObject(o.id, o.position_at(t), o.velocity, o.attrs, t)
+                    DataObject(o.id, position_at(o, t), o.velocity, o.attrs, t)
                     for o in objs
                 }
                 want = {o.id for o in range_skyline(q, moved)}
@@ -429,7 +480,7 @@ def test_predicted_segments_match_direct_skyline_at_samples():
 
 def _reference_center_offsets(center, obj, at):
     cx, cy = position_at(center, at)
-    ox, oy = obj.position_at(at)
+    ox, oy = position_at(obj, at)
     return (
         (ox - cx, oy - cy),
         (obj.velocity[0] - center.velocity[0], obj.velocity[1] - center.velocity[1]),
@@ -459,7 +510,7 @@ def _reference_skyline_at(center, range_R, objects, t, pre_filtered=False):
     cx, cy = position_at(center, t)
     rows = []
     for o in objects:
-        ox, oy = o.position_at(t)
+        ox, oy = position_at(o, t)
         d = math.hypot(ox - cx, oy - cy)
         if pre_filtered or d <= range_R:
             rows.append((d, o.attrs.canonical(), o))
