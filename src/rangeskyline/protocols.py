@@ -236,6 +236,27 @@ class SensorQueryState:
     known: dict[int, DataObject] = field(default_factory=dict)
     replied: bool = False
     last_sent: frozenset = frozenset()
+    # (descriptor, signature(known), timeline) of the last fresh prediction
+    prediction: tuple | None = None
+
+    def relevant_at(self, t: float) -> frozenset:
+        """relevant_union of the predicted timeline from t to the window end.
+
+        The last fresh prediction is reused while the descriptor is the same
+        object and known has the same signature.  A fresh call re-solves
+        every crossing from t, so a cut can move by ulps (up to ~1e-7 s near
+        tangency): only an object held for about that long can differ.
+        """
+        desc = self.descriptor
+        sig = signature(self.known.values())
+        kept = self.prediction
+        if kept is not None and kept[0] is desc and kept[1] == sig and t < desc.window[1]:
+            return relevant_union([seg for seg in kept[2] if seg[1][1] > t])
+        timeline = predict_timeline(
+            desc.issuer_state, desc.range_R, list(self.known.values()), desc.window, t
+        )
+        self.prediction = (desc, sig, timeline)
+        return relevant_union(timeline)
 
 
 @dataclass
@@ -297,6 +318,10 @@ class QueryProtocol:
         self.mode = mode
         self.report_interval = report_interval
         self.outcomes: dict[int, QueryOutcome] = {}
+        # [first continuous issue, last window end]: outside it no node holds
+        # a continuous query, so no contact trigger or neighbour touch is due
+        self._contact_span = (INF, -INF)
+        self._contacts_due = False
         sim.on_message = self._on_message
         sim.on_collection_complete = self._on_collection_complete
         sim.register(EVENT_QUERY_ISSUE, self._on_issue)
@@ -309,6 +334,10 @@ class QueryProtocol:
     # -- setup ---------------------------------------------------------------
 
     def issue(self, descriptor: QueryDescriptor, at: float) -> None:
+        """Schedule the issue; a continuous one widens the contact span."""
+        if not descriptor.is_snapshot:
+            lo, hi = self._contact_span
+            self._contact_span = (min(lo, at), max(hi, descriptor.window[1]))
         self.sim.schedule(
             at,
             EVENT_QUERY_ISSUE,
@@ -316,24 +345,34 @@ class QueryProtocol:
         )
 
     def schedule_mobility(self) -> None:
-        """Waypoint-arrival events for every node's leg changes, then contact triggers."""
+        """Waypoint-arrival events for every node's leg changes.
+
+        Contact triggers follow at the first continuous issue.
+        """
         for nid in sorted(self.sim.nodes):
             for t in self.sim.nodes[nid].plan.leg_change_times(0.0, self.sim.horizon):
                 self.sim.schedule(t, EVENT_WAYPOINT, {"node": nid})
-        self.schedule_contacts()
+        self._contacts_due = True
 
     def schedule_contacts(self) -> None:
-        """Range-crossing triggers for all node pairs on their current legs."""
+        """Range-crossing triggers for all node pairs on their current legs.
+
+        A pair is certified from the later start of its two current legs, the
+        instant a waypoint certifies it, so each crossing time is the same
+        float whenever the certification runs.
+        """
         ids = sorted(self.sim.nodes)
+        starts = [self.sim.nodes[nid].plan.leg_at(self.sim.clock).t_start for nid in ids]
         for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                self._schedule_pair_contact(a, b, 0.0)
+            for j in range(i + 1, len(ids)):
+                self._schedule_pair_contact(a, ids[j], max(starts[i], starts[j]))
 
     def _schedule_pair_contact(self, a: int, b: int, t: float) -> None:
         """Trigger when a and b come into range strictly before either leg ends.
 
         Legs cover [t_start, t_end), so the trigger fires on the legs it was
-        computed from and needs no leg stamp (a kinetic certificate).
+        computed from and needs no leg stamp (a kinetic certificate).  Only a
+        crossing from the clock to the end of the contact span is scheduled.
         """
         pa, pb = self.sim.nodes[a].plan, self.sim.nodes[b].plan
         leg_end = min(pa.leg_at(t).t_end, pb.leg_at(t).t_end)
@@ -342,7 +381,9 @@ class QueryProtocol:
         si = safe_interval(
             pa.motion_state_at(t), pb.motion_state_at(t), self.sim.link.transmission_range, t
         )
-        if si.is_empty or not t < si.enter < leg_end or si.enter > self.sim.horizon:
+        if si.is_empty or not t < si.enter < leg_end:
+            return
+        if not self.sim.clock <= si.enter <= min(self._contact_span[1], self.sim.horizon):
             return
         self.sim.schedule(si.enter, EVENT_SAFE_TIME, {"a": a, "b": b})
 
@@ -369,6 +410,9 @@ class QueryProtocol:
     # -- query issue and dissemination -------------------------------------------
 
     def _on_issue(self, payload: dict, t: float) -> None:
+        if self._contacts_due and not payload["descriptor"].is_snapshot:
+            self._contacts_due = False
+            self.schedule_contacts()
         desc = self._announce(payload["descriptor"], t)
         qid = desc.query_id
         self.outcomes[qid] = QueryOutcome(descriptor=desc, issue_time=t)
@@ -491,10 +535,7 @@ class QueryProtocol:
             pool = set(state.known.values())
             q = QuerySnapshot(position_at(desc.issuer_state, desc.window[0]), desc.range_R)
             return sorted(point_skyline(q, pool), key=lambda o: o.id)
-        timeline = predict_timeline(
-            desc.issuer_state, desc.range_R, list(state.known.values()), desc.window, t
-        )
-        return sorted(relevant_union(timeline), key=lambda o: o.id)
+        return sorted(state.relevant_at(t), key=lambda o: o.id)
 
     def _recompute_and_send(
         self, node_id: int, state: SensorQueryState, t: float, msg_type: str, initial: bool
@@ -586,6 +627,11 @@ class QueryProtocol:
             if desc.issuer == moved and not desc.is_snapshot and not self._expired(desc, t):
                 self._reflood(qid, t)
                 self._schedule_issuer_recompute(outcome, t)
+        lo, hi = self._contact_span
+        if not lo < t <= hi:
+            # at lo itself the issue certifies the new leg, and only issuers
+            # hold a query yet
+            return
         self._touch_holders_near(moved, t)
         for other in sorted(self.sim.nodes):
             if other != moved:

@@ -1,10 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangeskyline.harness import run_scenario, scenario2
+from rangeskyline.harness import query_windows, run_scenario, scenario2
 from rangeskyline.kinematics import (
     MotionState,
     WaypointPlan,
@@ -20,16 +21,24 @@ from rangeskyline.netsim import (
     NodeRuntime,
     Simulator,
 )
+from rangeskyline import protocols
 from rangeskyline.protocols import (
     MODE_CENTRALIZED,
     MODE_DISTRIBUTED,
     QueryDescriptor,
     QueryProtocol,
+    SensorQueryState,
     extend_timeline,
     predict_timeline,
     relevant_union,
 )
-from rangeskyline.skyline import AttributeVector, DataObject, QuerySnapshot, range_skyline
+from rangeskyline.skyline import (
+    AttributeVector,
+    DataObject,
+    QuerySnapshot,
+    keep_newest,
+    range_skyline,
+)
 
 
 AREA = (1000.0, 1000.0)
@@ -390,6 +399,14 @@ def contact_triggers(sim):
     return sorted((e[0], e[3]) for e in sim._heap if e[2] == EVENT_SAFE_TIME)
 
 
+def continuous_query(issuer, window):
+    return QueryDescriptor(
+        query_id=1, issuer=issuer,
+        issuer_state=MotionState((0.0, 0.0), (0.0, 0.0), window[0]),
+        range_R=100.0, window=window, ttl=1,
+    )
+
+
 def test_contact_at_a_leg_end_schedules_no_trigger():
     # the mover reaches (25, 0), exactly the range 75 from the static node,
     # at the instant its first leg ends: a trigger there would fire on the
@@ -398,8 +415,78 @@ def test_contact_at_a_leg_end_schedules_no_trigger():
         mover = sensor(0, moving_plan(0, 0, target, 1.0), 1.0)
         nodes = [mover, sensor(1, static_plan(100, 0), 1.0)]
         sim = Simulator(nodes, LinkModel(transmission_range=75.0), horizon=60.0)
-        QueryProtocol(sim).schedule_contacts()
+        proto = QueryProtocol(sim)
+        proto.issue(continuous_query(1, (0.0, 30.0)), 0.0)
+        proto.schedule_contacts()
         assert contact_triggers(sim) == expected
+
+
+def contact_world(seed):
+    """Twelve nodes on several random-waypoint legs each before t = 18."""
+    rng = random.Random(seed)
+    return [
+        sensor(
+            i,
+            WaypointPlan((rng.uniform(0, 150), rng.uniform(0, 150)), (150.0, 150.0),
+                         (5.0, 10.0), 60.0, random.Random(f"{seed}:{i}")),
+            rng.uniform(0, 1),
+        )
+        for i in range(12)
+    ]
+
+
+def pending_contacts(sim):
+    return sorted(
+        (e[0], e[3]["a"], e[3]["b"])
+        for e in sim._heap
+        if e[2] == EVENT_SAFE_TIME and "a" in e[3]
+    )
+
+
+def test_late_certification_schedules_the_triggers_of_one_from_time_zero():
+    # run from t = 0 (certify every pair, re-certify at each waypoint) up to
+    # a later clock, then certify a fresh copy of the world at that clock:
+    # the same pairs are due at the same floats
+    for seed, later in (("late:0", 17.9), ("late:1", 29.3), ("late:2", 41.1)):
+        link = LinkModel(transmission_range=30.0)
+        sim = Simulator(contact_world(seed), link, horizon=60.0)
+        proto = QueryProtocol(sim)
+        proto.schedule_mobility()
+        proto.issue(continuous_query(0, (0.0, 60.0)), 0.0)
+        sim.run(until=later)
+        expected = pending_contacts(sim)
+        # some due pair sits on legs that began after t = 0
+        assert any(
+            sim.nodes[n].plan.leg_at(later).t_start > 0.0 for _, a, b in expected for n in (a, b)
+        )
+
+        fresh = Simulator(contact_world(seed), link, horizon=60.0)
+        late = QueryProtocol(fresh)
+        late.issue(continuous_query(0, (0.0, 60.0)), 0.0)
+        fresh.clock = later
+        late.schedule_contacts()
+        assert pending_contacts(fresh) == expected
+
+
+def test_contact_triggers_fire_only_inside_the_query_span(monkeypatch):
+    fired = []
+    on_trigger = QueryProtocol._on_trigger
+
+    def record_trigger(proto, payload, t):
+        if "a" in payload:
+            fired.append(t)
+        on_trigger(proto, payload, t)
+
+    monkeypatch.setattr(QueryProtocol, "_on_trigger", record_trigger)
+    dense = replace(scenario2(), node_count=90, query_count=2)
+    for scen, seed in ((scenario2(), "golden:0"), (dense, "golden:1")):
+        fired.clear()
+        windows = query_windows(scen, seed)
+        first = min(t0 for t0, _ in windows)
+        last = max(t_end for _, t_end in windows)
+        run_scenario(scen, seed, "dcrsq")
+        assert fired
+        assert all(first <= t <= last for t in fired), (seed, min(fired), max(fired))
 
 
 def test_contact_triggers_fire_on_the_legs_they_were_computed_from(monkeypatch):
@@ -619,3 +706,84 @@ def test_predict_timeline_equals_reference_bit_for_bit(inputs):
     # float bounds compare under ==, so a shifted cut fails
     got = _id_segments(predict_timeline(*inputs))
     assert got == _id_segments(reference_predict_timeline(*inputs))
+
+
+# ---------------------------------------------------------------------------
+# sensor-side reuse of the last prediction
+# ---------------------------------------------------------------------------
+
+def sensor_state(center, range_R, objs, window):
+    desc = QueryDescriptor(
+        query_id=1, issuer=99, issuer_state=center, range_R=range_R, window=window, ttl=0
+    )
+    return SensorQueryState(descriptor=desc, known={o.id: o for o in objs})
+
+
+def held_from(timeline, obj_id, t):
+    """Total time from t on that the timeline holds obj_id in its skyline."""
+    return sum(
+        max(0.0, b - max(a, t)) for sky, (a, b) in timeline if obj_id in {o.id for o in sky}
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(prediction_inputs(), st.data())
+def test_reused_prediction_differs_from_a_fresh_one_only_in_slivers(inputs, data):
+    center, range_R, objs, window, now = inputs
+    lo, hi = max(window[0], now), window[1]
+    if not lo < hi:
+        return
+    state = sensor_state(center, range_R, objs, window)
+    state.relevant_at(now)
+    kept = state.prediction
+    cuts = sorted({x for _, span in kept[2] for x in span})
+    # a later instant at a kept cut, a few ulps or a tiny offset from one,
+    # or anywhere in the window
+    later = data.draw(st.sampled_from(cuts))
+    for _ in range(data.draw(st.integers(-3, 3)) % 4):
+        later = math.nextafter(later, hi)
+    later += data.draw(st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 1e-7, -1e-7]))
+    if data.draw(st.booleans()):
+        later = data.draw(st.floats(lo, hi))
+    if not lo <= later < hi:
+        return
+
+    reused = state.relevant_at(later)
+    assert state.prediction is kept
+    fresh_timeline = predict_timeline(center, range_R, objs, window, later)
+    fresh = relevant_union(fresh_timeline)
+    # an object in one batch only is held from `later` on by the timeline
+    # that gave that batch, and only for a sliver
+    for o in reused ^ fresh:
+        holder = kept[2] if o in reused else fresh_timeline
+        assert 0.0 < held_from(holder, o.id, later) < 1e-4
+
+
+def test_new_record_or_reannouncement_forces_a_fresh_prediction(monkeypatch):
+    calls = []
+    predict = protocols.predict_timeline
+
+    def counting(*args):
+        calls.append(args[-1])
+        return predict(*args)
+
+    monkeypatch.setattr(protocols, "predict_timeline", counting)
+    center = MotionState((0.0, 0.0), (0.0, 0.0))
+    state = sensor_state(
+        center, 100.0, [carried(1, 50, 0, 0, 0, 2.0), carried(2, 150, 0, -10, 0, 1.0)], (0.0, 10.0)
+    )
+    assert {o.id for o in state.relevant_at(1.0)} == {1, 2}
+    assert {o.id for o in state.relevant_at(2.0)} == {1, 2}
+    assert calls == [1.0]
+    # a newer record of a known object
+    keep_newest(state.known, carried(2, 130, 0, 10, 0, 1.0, observed_at=2.5))
+    assert {o.id for o in state.relevant_at(3.0)} == {1}
+    state.relevant_at(4.0)
+    assert calls == [1.0, 3.0]
+    # a re-announcement replaces the descriptor, even with equal fields
+    state.descriptor = replace(state.descriptor)
+    state.relevant_at(5.0)
+    state.relevant_at(6.0)
+    # the window end is always computed fresh
+    state.relevant_at(10.0)
+    assert calls == [1.0, 3.0, 5.0, 10.0]
