@@ -7,8 +7,11 @@ digest.  The CSV digests were taken before the skyline and timeline
 primitives were consolidated, the trace digests before the protocol and
 engine steps were merged, and both scenario2-dense digests (denser
 candidate sets, two queries per run) before the prediction kernel was
-rewritten over per-candidate floats.  A change that is meant to alter
-results must regenerate them and say why:
+rewritten over per-candidate floats.  The scenario2 and scenario2-dense
+trace digests were retaken when contact triggers became limited to the
+query span: those traces lost 1,184 and 1,545 idle safe-time-trigger lines
+and gained, moved or changed no other line.  A change that is meant to
+alter results must regenerate them and say why:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -42,8 +45,8 @@ GOLDEN = {
 GOLDEN_TRACE = {
     "scenario1": "ef9848bc943b26d8a4d827946920e9e50de799fefd986ce6ca4451541afe30d2",
     "scenario1-3d": "28ad681415c2bb660026ae33bed88317e116611e1fef76d16e313cb284de0675",
-    "scenario2": "293f07e8f673578ed6fd929e5442827d397fbd427de5128ae8d98b3e91cbf7ea",
-    "scenario2-dense": "9f094f5a9d0841975c6f05f28f810f5376f4e348408ff954a09f596789637ff3",
+    "scenario2": "2928fe9dc3d417aa60a6095b96c69c04012cf50f4fe520097ea22e322084ad6b",
+    "scenario2-dense": "ba96cc678e9b2c5cacd819c84ed0197f04a50619e5ca156c399f551201c02053",
 }
 
 
