@@ -74,6 +74,8 @@ class Scenario:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "int" and not isinstance(value, int):
+                raise ValueError(f"{f.name} must be an integer")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         if self.area_width <= 0:
@@ -185,7 +187,10 @@ def parse_config(text: str, base: Scenario | None = None) -> Scenario:
         if key not in types:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         cast = casts.get(types[key], str)
-        updates[key] = cast(value)
+        try:
+            updates[key] = cast(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return replace(scen, **updates)
 
 

@@ -70,6 +70,8 @@ def test_unknown_config_key_rejected():
 def test_malformed_config_line_rejected():
     with pytest.raises(ValueError, match="expected key"):
         parse_config("node_count 42")
+    with pytest.raises(ValueError, match="^line 2: query_range: could not convert"):
+        parse_config("node_count = 42\nquery_range = abc")
 
 
 def test_ttl_derivation_on_default_densities():
@@ -257,6 +259,9 @@ def test_cli_rejects_unreadable_scenario(tmp_path):
         "attr_dims = 0",
         "attr_directions = up",
         "replications = 0",
+        "node_count = 10.5",
+        "ttl_cap = 2.5",
+        "query_range = abc",
     ],
 )
 def test_cli_rejects_invalid_scenario(tmp_path, line):
@@ -278,6 +283,16 @@ def test_cli_sweep_rejects_nonpositive_reps(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "replications" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("param", ["node_count", "ttl_cap"])
+def test_cli_sweep_rejects_a_fractional_integer_field(param):
+    proc = run_cli(
+        "sweep", "--preset", "scenario2", "--param", param, "--values", "10.5", "--reps", "1",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {param} must be an integer\n"
     assert proc.stdout == ""
 
 
