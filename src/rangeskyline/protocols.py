@@ -237,7 +237,7 @@ class SensorQueryState:
     replied: bool = False
     last_sent: frozenset = frozenset()
     # (descriptor, signature(known), timeline) of the last fresh prediction
-    prediction: tuple | None = None
+    prediction: tuple[QueryDescriptor, frozenset, Timeline] | None = None
 
     def relevant_at(self, t: float) -> frozenset:
         """relevant_union of the predicted timeline from t to the window end.
@@ -362,10 +362,10 @@ class QueryProtocol:
         float whenever the certification runs.
         """
         ids = sorted(self.sim.nodes)
-        starts = [self.sim.nodes[nid].plan.leg_at(self.sim.clock).t_start for nid in ids]
+        start = {nid: self.sim.nodes[nid].plan.leg_at(self.sim.clock).t_start for nid in ids}
         for i, a in enumerate(ids):
-            for j in range(i + 1, len(ids)):
-                self._schedule_pair_contact(a, ids[j], max(starts[i], starts[j]))
+            for b in ids[i + 1:]:
+                self._schedule_pair_contact(a, b, max(start[a], start[b]))
 
     def _schedule_pair_contact(self, a: int, b: int, t: float) -> None:
         """Trigger when a and b come into range strictly before either leg ends.
