@@ -68,39 +68,54 @@ class SafeInterval:
         return SafeInterval(enter, leave)
 
 
-def safe_interval(
-    q: MotionState, s: MotionState, R: float, now: float
-) -> SafeInterval:
-    """Window of absolute times >= now during which dist(q, s) <= R.
+def crossing_window(
+    dpx: float, dpy: float, dvx: float, dvy: float, R: float, now: float
+) -> tuple[float, float]:
+    """(enter, leave) of absolute times >= now with |dp + dv*(t - now)| <= R.
 
-    Solves |dp + dv*t|^2 = R^2 for the relative offset dp and velocity dv at
-    `now`.  An object currently in range gets enter == now and leave equal to
-    the smallest positive boundary crossing (or +inf if never leaving).
+    dp and dv are the relative offset at `now` and the relative velocity.
+    The window is empty when enter > leave ((inf, -inf) when never in range).
+    An offset already in range gets enter == now and leave equal to the
+    smallest positive boundary crossing (or +inf if never leaving).
     """
-    if R <= 0:
-        raise ValueError("R must be > 0")
-    qp = position_at(q, now)
-    sp = position_at(s, now)
-    dpx, dpy = sp[0] - qp[0], sp[1] - qp[1]
-    dvx, dvy = s.velocity[0] - q.velocity[0], s.velocity[1] - q.velocity[1]
-
     a = dvx * dvx + dvy * dvy
     b = 2.0 * (dpx * dvx + dpy * dvy)
     c = dpx * dpx + dpy * dpy - R * R
 
     if a == 0.0:
         # no relative motion: inside forever or never
-        return SafeInterval(now, INF) if c <= 0.0 else SafeInterval.empty()
+        return (now, INF) if c <= 0.0 else (INF, -INF)
 
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
-        return SafeInterval.empty()
+        return (INF, -INF)
     sq = math.sqrt(disc)
     t1 = (-b - sq) / (2.0 * a)
     t2 = (-b + sq) / (2.0 * a)
     if t2 < 0.0:
-        return SafeInterval.empty()
-    return SafeInterval(now + max(t1, 0.0), now + t2)
+        return (INF, -INF)
+    return (now + max(t1, 0.0), now + t2)
+
+
+def safe_interval(
+    q: MotionState, s: MotionState, R: float, now: float
+) -> SafeInterval:
+    """Window of absolute times >= now during which dist(q, s) <= R.
+
+    Solves |dp + dv*t|^2 = R^2 for the relative offset dp and velocity dv at
+    `now` (see crossing_window).
+    """
+    if R <= 0:
+        raise ValueError("R must be > 0")
+    qp = position_at(q, now)
+    sp = position_at(s, now)
+    return SafeInterval(
+        *crossing_window(
+            sp[0] - qp[0], sp[1] - qp[1],
+            s.velocity[0] - q.velocity[0], s.velocity[1] - q.velocity[1],
+            R, now,
+        )
+    )
 
 
 def monitoring_interval(si: SafeInterval, window: tuple[float, float]) -> SafeInterval:
@@ -192,21 +207,30 @@ class WaypointPlan:
         i = bisect_right(self._starts, t) - 1
         return max(i, 0)
 
+    # The three lookups below resolve the leg in their own body: they run
+    # for every node at every neighbour snapshot and contact certification.
+
     def leg_at(self, t: float) -> Leg:
-        return self.legs[self.leg_index_at(t)]
+        return self.legs[max(bisect_right(self._starts, t) - 1, 0)]
 
     def position_at(self, t: float) -> tuple[float, float]:
-        return self.leg_at(t).position_at(t)
+        leg = self.legs[max(bisect_right(self._starts, t) - 1, 0)]
+        dt = min(t, leg.t_end) - leg.t_start
+        o, v = leg.origin, leg.velocity
+        return (o[0] + v[0] * dt, o[1] + v[1] * dt)
 
     def motion_state_at(self, t: float) -> MotionState:
-        leg = self.leg_at(t)
+        leg = self.legs[max(bisect_right(self._starts, t) - 1, 0)]
+        dt = min(t, leg.t_end) - leg.t_start
+        o, v = leg.origin, leg.velocity
+        position = (o[0] + v[0] * dt, o[1] + v[1] * dt)
         if t >= leg.t_end:
             # past the final generated leg: hold position
-            return MotionState(leg.position_at(leg.t_end), (0.0, 0.0), t)
-        return MotionState(leg.position_at(t), leg.velocity, t)
+            return MotionState(position, (0.0, 0.0), t)
+        return MotionState(position, v, t)
 
     def leg_change_times(self, t0: float = 0.0, t1: float | None = None) -> list[float]:
-        """Interior leg-boundary instants within [t0, t1]."""
+        """Interior leg-boundary instants within (t0, t1]."""
         end = self.horizon if t1 is None else t1
         return [
             leg.t_start

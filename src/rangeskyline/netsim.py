@@ -163,6 +163,10 @@ class Simulator:
         self._collection_done: set[int] = set()
         self.on_collection_complete: Callable[[int, float], None] | None = None
         self.on_message: Callable[[int, Message, float], None] | None = None
+        # plans are immutable and the node set is fixed: the id-ordered plans
+        # and the squared range serve every geometry query of the run
+        self._plans = [(nid, self.nodes[nid].plan) for nid in sorted(self.nodes)]
+        self._range2 = link.transmission_range**2
         self._snapshot_t: float | None = None
         self._snapshot: list[tuple[int, float, float]] = []
 
@@ -210,14 +214,11 @@ class Simulator:
     def neighbors_of(self, node_id: int, t: float) -> list[int]:
         """Ascending ids of all nodes within the transmission range (closed ball) at t."""
         if self._snapshot_t != t:
-            # (id, x, y) of every node, kept for the latest instant asked:
-            # plans are immutable and the node set is fixed, so it never goes stale
-            self._snapshot = [
-                (nid, *n.plan.position_at(t)) for nid, n in sorted(self.nodes.items())
-            ]
+            # (id, x, y) of every node, kept for the latest instant asked
+            self._snapshot = [(nid, *plan.position_at(t)) for nid, plan in self._plans]
             self._snapshot_t = t
         mx, my = self.nodes[node_id].plan.position_at(t)
-        r2 = self.link.transmission_range**2
+        r2 = self._range2
         return [
             nid
             for nid, ox, oy in self._snapshot
@@ -227,7 +228,7 @@ class Simulator:
     def in_contact(self, a: int, b: int, t: float) -> bool:
         ax, ay = self.nodes[a].plan.position_at(t)
         bx, by = self.nodes[b].plan.position_at(t)
-        return (ax - bx) ** 2 + (ay - by) ** 2 <= self.link.transmission_range**2
+        return (ax - bx) ** 2 + (ay - by) ** 2 <= self._range2
 
     # -- transmission -------------------------------------------------------
 

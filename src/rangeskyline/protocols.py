@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 from rangeskyline.kinematics import (
     INF,
     MotionState,
-    monitoring_interval,
+    WaypointPlan,
+    crossing_window,
     position_at,
     safe_interval,
 )
@@ -154,13 +155,15 @@ def predict_timeline(
     cuts: set[float] = {lo, hi}
     spans: list[tuple[DataObject, float, float]] = []
     for o in objs:
-        si = monitoring_interval(safe_interval(center, o, range_R, lo), (lo, hi))
-        if si.is_empty:
+        si = safe_interval(center, o, range_R, lo)
+        # clipped to the window, so leave <= hi
+        enter = max(si.enter, lo)
+        leave = min(si.leave, hi)
+        if enter > leave:
             continue
-        # leave <= hi: the monitoring interval ends at the window end
-        spans.append((o, si.enter, si.leave))
-        cuts.add(si.enter)
-        cuts.add(si.leave)
+        spans.append((o, enter, leave))
+        cuts.add(enter)
+        cuts.add(leave)
 
     # Offset p and velocity v of each live candidate relative to the center
     # at lo; their squared distance is |p|^2 + 2(p.v)t + |v|^2 t^2.
@@ -213,6 +216,35 @@ def predict_timeline(
         # members are in range by their safe intervals
         extend_timeline(out, _skyline_at(center, INF, members, mid), a, b)
     return out or [(frozenset(), (lo, hi))]
+
+
+def _leg_floats(plan: WaypointPlan, t: float) -> tuple[float, float, float, float, float, float]:
+    """(t_start, t_end, x, y, vx, vy) of the plan's leg at t."""
+    leg = plan.leg_at(t)
+    return (leg.t_start, leg.t_end, *leg.origin, *leg.velocity)
+
+
+def _contact_enter(la: tuple, lb: tuple, t: float, R: float) -> float:
+    """When the nodes on legs la and lb (_leg_floats) come within R.
+
+    Certified at t, an instant on both legs: the crossing is kept only when
+    t < enter < the earlier leg end, and is +inf otherwise.  Legs cover
+    [t_start, t_end), so a trigger fires on the legs it was computed from
+    and needs no leg stamp (a kinetic certificate).  The floats are those of
+    safe_interval on the motion states of a and b at t, the zero-dt
+    extrapolation of each state included.
+    """
+    sa, ea, ax, ay, avx, avy = la
+    sb, eb, bx, by, bvx, bvy = lb
+    leg_end = min(ea, eb)
+    if leg_end <= t:
+        return INF
+    qx = ax + avx * (t - sa) + avx * 0.0
+    qy = ay + avy * (t - sa) + avy * 0.0
+    px = bx + bvx * (t - sb) + bvx * 0.0
+    py = by + bvy * (t - sb) + bvy * 0.0
+    enter, _ = crossing_window(px - qx, py - qy, bvx - avx, bvy - avy, R, t)
+    return enter if t < enter < leg_end else INF
 
 
 def relevant_union(timeline: Timeline) -> frozenset:
@@ -362,30 +394,26 @@ class QueryProtocol:
         float whenever the certification runs.
         """
         ids = sorted(self.sim.nodes)
-        start = {nid: self.sim.nodes[nid].plan.leg_at(self.sim.clock).t_start for nid in ids}
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                self._schedule_pair_contact(a, b, max(start[a], start[b]))
-
-    def _schedule_pair_contact(self, a: int, b: int, t: float) -> None:
-        """Trigger when a and b come into range strictly before either leg ends.
-
-        Legs cover [t_start, t_end), so the trigger fires on the legs it was
-        computed from and needs no leg stamp (a kinetic certificate).  Only a
-        crossing from the clock to the end of the contact span is scheduled.
-        """
-        pa, pb = self.sim.nodes[a].plan, self.sim.nodes[b].plan
-        leg_end = min(pa.leg_at(t).t_end, pb.leg_at(t).t_end)
-        if min(leg_end, self.sim.horizon) <= t:
-            return
-        si = safe_interval(
-            pa.motion_state_at(t), pb.motion_state_at(t), self.sim.link.transmission_range, t
+        legs = [_leg_floats(self.sim.nodes[nid].plan, self.sim.clock) for nid in ids]
+        self._certify(
+            (a, ids[j], la, legs[j], max(la[0], legs[j][0]))
+            for i, (a, la) in enumerate(zip(ids, legs))
+            for j in range(i + 1, len(ids))
         )
-        if si.is_empty or not t < si.enter < leg_end:
-            return
-        if not self.sim.clock <= si.enter <= min(self._contact_span[1], self.sim.horizon):
-            return
-        self.sim.schedule(si.enter, EVENT_SAFE_TIME, {"a": a, "b": b})
+
+    def _certify(self, pairs) -> None:
+        """Contact trigger for each pair (a, b, leg of a, leg of b, t), a < b.
+
+        Only a crossing from the clock to the end of the contact span is
+        scheduled (see _contact_enter), in the order of pairs.
+        """
+        R = self.sim.link.transmission_range
+        clock = self.sim.clock
+        last = min(self._contact_span[1], self.sim.horizon)
+        for a, b, la, lb, t in pairs:
+            enter = _contact_enter(la, lb, t, R)
+            if clock <= enter <= last:
+                self.sim.schedule(enter, EVENT_SAFE_TIME, {"a": a, "b": b})
 
     # -- sensing ---------------------------------------------------------------
 
@@ -633,9 +661,16 @@ class QueryProtocol:
             # hold a query yet
             return
         self._touch_holders_near(moved, t)
-        for other in sorted(self.sim.nodes):
-            if other != moved:
-                self._schedule_pair_contact(min(moved, other), max(moved, other), t)
+        mine = _leg_floats(self.sim.nodes[moved].plan, t)
+        others = [
+            (nid, _leg_floats(self.sim.nodes[nid].plan, t))
+            for nid in sorted(self.sim.nodes)
+            if nid != moved
+        ]
+        self._certify(
+            (moved, nid, mine, leg, t) if moved < nid else (nid, moved, leg, mine, t)
+            for nid, leg in others
+        )
 
     def _touch_holders_near(self, moved: int, t: float) -> None:
         for nid in self.sim.neighbors_of(moved, t) + [moved]:

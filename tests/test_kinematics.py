@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangeskyline.kinematics import (
     INF,
@@ -268,3 +270,53 @@ def test_leg_change_times_within_window():
     assert changes == sorted(changes)
     assert all(0.0 < t <= 100.0 for t in changes)
     assert len(changes) >= 2
+    # the window is (t0, t1]: a change at t0 itself is not listed
+    assert plan.leg_change_times(changes[0], changes[1]) == [changes[1]]
+
+
+# The lookups resolve the leg in one body each; they must give the floats of
+# the composition through leg_index_at and Leg.position_at.
+
+def composed_position(plan, t):
+    return plan.legs[plan.leg_index_at(t)].position_at(t)
+
+
+def composed_motion_state(plan, t):
+    leg = plan.legs[plan.leg_index_at(t)]
+    if t >= leg.t_end:
+        return MotionState(leg.position_at(leg.t_end), (0.0, 0.0), t)
+    return MotionState(leg.position_at(t), leg.velocity, t)
+
+
+@st.composite
+def plans_and_instants(draw):
+    coord = st.one_of(st.integers(0, 100).map(float), st.floats(0.0, 100.0))
+    start = (draw(coord), draw(coord))
+    speed_max = draw(st.sampled_from([0.0, 1.0, 3.5, 10.0]))
+    waypoints = draw(st.lists(st.tuples(coord, coord), max_size=4))
+    plan = WaypointPlan(
+        start, (100.0, 100.0), (min(1.0, speed_max), speed_max),
+        draw(st.sampled_from([5.0, 30.0, 60.0])), random.Random(draw(st.integers(0, 99))),
+        waypoints=waypoints, speeds=[speed_max] * len(waypoints),
+    )
+    # a stationary plan has one leg from 0 that never ends
+    final_end = min(plan.legs[-1].t_end, 1e6)
+    instants = [leg.t_start for leg in plan.legs] + [final_end, final_end + 1.0, -1.0]
+    instants += [(leg.t_start + leg.t_end) / 2.0 for leg in plan.legs[:-1]]
+    instants += draw(st.lists(st.floats(-5.0, 100.0), max_size=5))
+    return plan, instants
+
+
+@settings(max_examples=300, deadline=None)
+@given(plans_and_instants())
+def test_plan_lookups_equal_the_leg_composition(case):
+    plan, instants = case
+    for t in instants:
+        assert plan.leg_at(t) is plan.legs[plan.leg_index_at(t)]
+        position = plan.position_at(t)
+        state = plan.motion_state_at(t)
+        assert position == composed_position(plan, t)
+        assert state == composed_motion_state(plan, t)
+        # == ignores the sign of a zero; repr does not
+        assert repr((position, state)) == repr((composed_position(plan, t),
+                                                composed_motion_state(plan, t)))

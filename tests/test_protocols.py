@@ -5,7 +5,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangeskyline.harness import query_windows, run_scenario, scenario2
+from rangeskyline.harness import build_world, query_windows, run_scenario, scenario2
 from rangeskyline.kinematics import (
     MotionState,
     WaypointPlan,
@@ -466,6 +466,105 @@ def test_late_certification_schedules_the_triggers_of_one_from_time_zero():
         fresh.clock = later
         late.schedule_contacts()
         assert pending_contacts(fresh) == expected
+
+
+# Frozen copy of the per-pair certification as first written: leg_at, then
+# motion_state_at, then kinematics.safe_interval.  The certification reads
+# the two legs' floats instead and must schedule the same floats.
+
+def reference_pair_contact(sim, a, b, t, span_end):
+    pa, pb = sim.nodes[a].plan, sim.nodes[b].plan
+    leg_end = min(pa.leg_at(t).t_end, pb.leg_at(t).t_end)
+    if min(leg_end, sim.horizon) <= t:
+        return None
+    si = safe_interval(
+        pa.motion_state_at(t), pb.motion_state_at(t), sim.link.transmission_range, t
+    )
+    if si.is_empty or not t < si.enter < leg_end:
+        return None
+    if not sim.clock <= si.enter <= min(span_end, sim.horizon):
+        return None
+    return si.enter
+
+
+def reference_contacts(sim, span_end):
+    """(fire_at, a, b) of every trigger due at sim.clock, in scheduling order."""
+    ids = sorted(sim.nodes)
+    start = {nid: sim.nodes[nid].plan.leg_at(sim.clock).t_start for nid in ids}
+    out = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            enter = reference_pair_contact(sim, a, b, max(start[a], start[b]), span_end)
+            if enter is not None:
+                out.append((enter, a, b))
+    return out
+
+
+def scheduled_contacts(sim):
+    """(fire_at, a, b) of every pending contact trigger, in scheduling order."""
+    return [
+        (e[0], e[3]["a"], e[3]["b"])
+        for e in sorted(sim._heap, key=lambda e: e[1])
+        if e[2] == EVENT_SAFE_TIME and "a" in e[3]
+    ]
+
+
+def certify_at(nodes, link, horizon, window, clock):
+    """Pending triggers after schedule_contacts() at clock, and the copy's list."""
+    sim = Simulator(nodes, link, horizon=horizon)
+    proto = QueryProtocol(sim)
+    proto.issue(continuous_query(nodes[0].id, window), window[0])
+    sim.clock = clock
+    proto.schedule_contacts()
+    return scheduled_contacts(sim), reference_contacts(sim, window[1])
+
+
+@st.composite
+def contact_pairs(draw):
+    """Four nodes on a few legs each, some static, with a clock and a window."""
+    coord = st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 40.0))
+    nodes = []
+    for nid in range(4):
+        speed = draw(st.sampled_from([0.0, 2.5, 10.0]))
+        waypoints = draw(st.lists(st.tuples(coord, coord), max_size=4))
+        plan = WaypointPlan(
+            (draw(coord), draw(coord)), (40.0, 40.0), (min(1.0, speed), speed),
+            draw(st.sampled_from([20.0, 60.0])), random.Random(draw(st.integers(0, 99))),
+            waypoints=waypoints, speeds=[speed] * len(waypoints),
+        )
+        nodes.append(sensor(nid, plan, 1.0))
+    # the clock often sits exactly at a leg start, and sometimes past the
+    # final leg of a plan
+    starts = [leg.t_start for n in nodes for leg in n.plan.legs]
+    clock = draw(st.one_of(st.sampled_from(starts), st.floats(0.0, 30.0)))
+    span_end = draw(st.one_of(st.just(60.0), st.floats(0.0, 60.0)))
+    R = draw(st.sampled_from([5.0, 10.0, 20.0]))
+    return nodes, LinkModel(transmission_range=R), clock, span_end
+
+
+@settings(max_examples=400, deadline=None)
+@given(contact_pairs())
+def test_certification_equals_the_per_pair_reference(case):
+    nodes, link, clock, span_end = case
+    got, expected = certify_at(nodes, link, 60.0, (0.0, span_end), clock)
+    assert got == expected
+
+
+def test_certification_equals_the_per_pair_reference_on_scenario2_worlds():
+    for n, seed in ((60, "golden:0"), (120, "continuous:0")):
+        scen = replace(scenario2(), node_count=n)
+        (t0, t_end), = query_windows(scen, seed)
+        horizon = max(scen.sim_horizon, t_end + 1.0)
+        link = LinkModel(transmission_range=scen.transmission_range)
+        nodes = build_world(scen, seed)
+        # the first issue, later clocks, and the first leg starts inside the window
+        legs = sorted(
+            leg.t_start for node in nodes for leg in node.plan.legs if t0 < leg.t_start < t_end
+        )
+        for clock in [t0, t0 + 2.5, (t0 + t_end) / 2.0] + legs[:2]:
+            got, expected = certify_at(nodes, link, horizon, (t0, t_end), clock)
+            assert len(expected) >= 5, (n, seed, clock)
+            assert got == expected, (n, seed, clock)
 
 
 def test_contact_triggers_fire_only_inside_the_query_span(monkeypatch):
