@@ -18,6 +18,7 @@ from rangeskyline.harness import (
     run_scenario,
     summarize,
     sweep,
+    sweep_values,
 )
 
 
@@ -54,7 +55,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     scen = _load_scenario(args)
-    values = [_coerce(v) for v in args.values.split(",")]
+    values = sweep_values(args.param, args.values)
     lines = sweep(scen, args.param, values, replications=args.reps)
     _write(args.out, "\n".join(lines) + "\n")
     if args.summary:
@@ -66,13 +67,6 @@ def cmd_sweep(args) -> int:
                     f"mean {cell.mean:.3f} ci95 {ci} n={cell.n}\n"
                 )
     return 0
-
-
-def _coerce(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
 
 
 def cmd_cost(args) -> int:

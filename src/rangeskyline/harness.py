@@ -395,8 +395,7 @@ def sweep(
     approaches: tuple[str, ...] | None = None,
 ) -> list[str]:
     """Paired-seed parameter sweep; returns CSV lines including the header."""
-    if param != "none" and param not in {f.name for f in fields(Scenario)}:
-        raise ValueError(f"unknown sweep parameter {param!r}")
+    _sweep_field_type(param)
     reps = scenario.replications if replications is None else replications
     if reps < 1:
         raise ValueError("replications must be >= 1")
@@ -409,6 +408,39 @@ def sweep(
                 result = run_scenario(cell, seed, approach)
                 lines.append(csv_row(result, param, value, rep))
     return lines
+
+
+def _sweep_field_type(param: str) -> str:
+    """Declared type of the Scenario field param; "none" sweeps nothing."""
+    if param == "none":
+        return "none"
+    for f in fields(Scenario):
+        if f.name == param:
+            return f.type
+    raise ValueError(f"unknown sweep parameter {param!r}")
+
+
+def sweep_values(param: str, text: str) -> list:
+    """The comma-separated values of a sweep over param.
+
+    A str field takes each value as written.  Any other value is an int when
+    it parses as one and a float otherwise, so the CSV value column shows it
+    as typed; Scenario then rejects a float in an int field.
+    """
+    kind = _sweep_field_type(param)
+    values: list = []
+    for item in text.split(","):
+        if kind == "str":
+            values.append(item)
+            continue
+        try:
+            values.append(int(item))
+        except ValueError:
+            try:
+                values.append(float(item))
+            except ValueError as exc:
+                raise ValueError(f"{param}: {exc}") from None
+    return values
 
 
 @dataclass(frozen=True)

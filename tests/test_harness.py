@@ -16,6 +16,7 @@ from rangeskyline.harness import (
     scenario2,
     summarize,
     sweep,
+    sweep_values,
 )
 
 
@@ -293,6 +294,45 @@ def test_cli_sweep_rejects_a_fractional_integer_field(param):
     )
     assert proc.returncode == 2
     assert proc.stderr == f"error: {param} must be an integer\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("param, text", [("attr_directions", "max"), ("name", "small")])
+def test_cli_sweep_takes_a_string_field_as_written(tmp_path, param, text):
+    proc = run_cli(
+        "sweep", "--preset", "scenario1", "--scenario", str(_mini_cfg(tmp_path)),
+        "--param", param, "--values", text, "--reps", "1",
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(row[2:4] == [param, text] for row in rows)
+
+
+def test_sweep_values_keep_int_then_float_for_numeric_fields():
+    values = sweep_values("node_count", "20,25")
+    assert values == [20, 25] and all(type(v) is int for v in values)
+    values = sweep_values("query_range", "80,92.5,1e2")
+    assert values == [80, 92.5, 100.0]
+    assert [type(v) for v in values] == [int, float, float]
+    assert sweep_values("attr_directions", "max,min") == ["max", "min"]
+
+
+@pytest.mark.parametrize(
+    "param, text, message",
+    [
+        ("query_range", "abc", "error: query_range: could not convert string to float: 'abc'\n"),
+        ("node_count", "20,x", "error: node_count: could not convert string to float: 'x'\n"),
+        # an unknown field is named before any value is cast
+        ("warp_factor", "abc", "error: unknown sweep parameter 'warp_factor'\n"),
+    ],
+)
+def test_cli_sweep_names_the_field_of_a_bad_value(param, text, message):
+    proc = run_cli(
+        "sweep", "--preset", "scenario1", "--param", param, "--values", text, "--reps", "1",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == message
     assert proc.stdout == ""
 
 
