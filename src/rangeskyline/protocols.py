@@ -662,14 +662,12 @@ class QueryProtocol:
             return
         self._touch_holders_near(moved, t)
         mine = _leg_floats(self.sim.nodes[moved].plan, t)
-        others = [
-            (nid, _leg_floats(self.sim.nodes[nid].plan, t))
-            for nid in sorted(self.sim.nodes)
-            if nid != moved
-        ]
+        # each other node's leg is read as its pair is certified
         self._certify(
             (moved, nid, mine, leg, t) if moved < nid else (nid, moved, leg, mine, t)
-            for nid, leg in others
+            for nid in sorted(self.sim.nodes)
+            if nid != moved
+            for leg in (_leg_floats(self.sim.nodes[nid].plan, t),)
         )
 
     def _touch_holders_near(self, moved: int, t: float) -> None:
