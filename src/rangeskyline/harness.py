@@ -410,14 +410,12 @@ def sweep(
     return lines
 
 
-def _sweep_field_type(param: str) -> str:
-    """Declared type of the Scenario field param; "none" sweeps nothing."""
-    if param == "none":
-        return "none"
-    for f in fields(Scenario):
-        if f.name == param:
-            return f.type
-    raise ValueError(f"unknown sweep parameter {param!r}")
+def _sweep_field_type(param: str) -> str | None:
+    """Declared type of the Scenario field param; None for "none", which sweeps nothing."""
+    types = {f.name: f.type for f in fields(Scenario)}
+    if param != "none" and param not in types:
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    return types.get(param)
 
 
 def sweep_values(param: str, text: str) -> list:

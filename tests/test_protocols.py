@@ -5,7 +5,13 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangeskyline.harness import build_world, query_windows, run_scenario, scenario2
+from rangeskyline.harness import (
+    build_world,
+    query_windows,
+    run_scenario,
+    scenario2,
+    world_horizon,
+)
 from rangeskyline.kinematics import (
     MotionState,
     WaypointPlan,
@@ -554,7 +560,7 @@ def test_certification_equals_the_per_pair_reference_on_scenario2_worlds():
     for n, seed in ((60, "golden:0"), (120, "continuous:0")):
         scen = replace(scenario2(), node_count=n)
         (t0, t_end), = query_windows(scen, seed)
-        horizon = max(scen.sim_horizon, t_end + 1.0)
+        horizon = world_horizon(scen, seed)
         link = LinkModel(transmission_range=scen.transmission_range)
         nodes = build_world(scen, seed)
         # the first issue, later clocks, and the first leg starts inside the window
