@@ -324,11 +324,7 @@ def run_scenario(scenario: Scenario, seed: object, approach: str) -> RunResult:
     proto = QueryProtocol(sim, mode=mode, report_interval=scenario.report_interval)
 
     ttl = scenario.ttl_centralized if approach == "centralized" else distributed_ttl(scenario)
-    windows = query_windows(scenario, seed)
-    moving = scenario.speed_max > 0.0
-    if not scenario.is_snapshot and moving and mode == MODE_DISTRIBUTED:
-        proto.schedule_mobility()
-    for k, window in enumerate(windows):
+    for k, window in enumerate(query_windows(scenario, seed)):
         issuer = scenario.node_count + k
         desc = QueryDescriptor(
             query_id=k + 1,

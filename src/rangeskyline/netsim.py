@@ -38,6 +38,7 @@ EVENT_MESSAGE_LOST = "message-lost"
 EVENT_WAYPOINT = "waypoint-arrival"
 EVENT_PERIODIC = "periodic-report"
 EVENT_SAFE_TIME = "safe-time-trigger"
+EVENT_RECOMPUTE = "issuer-recompute"
 EVENT_QUERY_ISSUE = "query-issue"
 EVENT_QUERY_EXPIRE = "query-expire"
 EVENT_REPLY_DEADLINE = "reply-deadline"

@@ -37,6 +37,7 @@ from rangeskyline.netsim import (
     EVENT_PERIODIC,
     EVENT_QUERY_EXPIRE,
     EVENT_QUERY_ISSUE,
+    EVENT_RECOMPUTE,
     EVENT_REPLY_DEADLINE,
     EVENT_SAFE_TIME,
     EVENT_WAYPOINT,
@@ -350,41 +351,46 @@ class QueryProtocol:
         self.mode = mode
         self.report_interval = report_interval
         self.outcomes: dict[int, QueryOutcome] = {}
-        # [first continuous issue, last window end]: outside it no node holds
-        # a continuous query, so no contact trigger or neighbour touch is due
-        self._contact_span = (INF, -INF)
-        self._contacts_due = False
+        # last window end of a continuous query: after it no node holds one,
+        # so no waypoint or contact trigger is due
+        self._span_end = -INF
         sim.on_message = self._on_message
         sim.on_collection_complete = self._on_collection_complete
         sim.register(EVENT_QUERY_ISSUE, self._on_issue)
         sim.register(EVENT_REPLY_DEADLINE, self._on_deadline)
         sim.register(EVENT_WAYPOINT, self._on_waypoint)
-        sim.register(EVENT_SAFE_TIME, self._on_trigger)
+        sim.register(EVENT_SAFE_TIME, self._on_contact)
+        sim.register(EVENT_RECOMPUTE, self._on_recompute)
         sim.register(EVENT_PERIODIC, self._on_periodic_round)
         sim.register(EVENT_QUERY_EXPIRE, self._on_expire)
 
     # -- setup ---------------------------------------------------------------
 
     def issue(self, descriptor: QueryDescriptor, at: float) -> None:
-        """Schedule the issue; a continuous one widens the contact span."""
+        """Schedule the issue; a continuous one widens the span to its window end.
+
+        Issue every query before Simulator.run: the first continuous issue
+        schedules the kinetic events up to the span end as it stands then.
+        """
         if not descriptor.is_snapshot:
-            lo, hi = self._contact_span
-            self._contact_span = (min(lo, at), max(hi, descriptor.window[1]))
+            self._span_end = max(self._span_end, descriptor.window[1])
         self.sim.schedule(
             at,
             EVENT_QUERY_ISSUE,
             {"query_id": descriptor.query_id, "node": descriptor.issuer, "descriptor": descriptor},
         )
 
-    def schedule_mobility(self) -> None:
-        """Waypoint-arrival events for every node's leg changes.
+    def _start_kinetics(self, t: float) -> None:
+        """Every node's leg changes in (t, span end], then contact triggers.
 
-        Contact triggers follow at the first continuous issue.
+        Kinetic events matter only while a continuous query is live, so the
+        first distributed continuous issue starts them at its instant t.
         """
+        last = min(self._span_end, self.sim.horizon)
         for nid in sorted(self.sim.nodes):
-            for t in self.sim.nodes[nid].plan.leg_change_times(0.0, self.sim.horizon):
-                self.sim.schedule(t, EVENT_WAYPOINT, {"node": nid})
-        self._contacts_due = True
+            for w in self.sim.nodes[nid].plan.leg_change_times(t, last):
+                self.sim.schedule(w, EVENT_WAYPOINT, {"node": nid})
+        self.schedule_contacts()
 
     def schedule_contacts(self) -> None:
         """Range-crossing triggers for all node pairs on their current legs.
@@ -404,12 +410,12 @@ class QueryProtocol:
     def _certify(self, pairs) -> None:
         """Contact trigger for each pair (a, b, leg of a, leg of b, t), a < b.
 
-        Only a crossing from the clock to the end of the contact span is
-        scheduled (see _contact_enter), in the order of pairs.
+        Only a crossing from the clock to the span end is scheduled (see
+        _contact_enter), in the order of pairs.
         """
         R = self.sim.link.transmission_range
         clock = self.sim.clock
-        last = min(self._contact_span[1], self.sim.horizon)
+        last = min(self._span_end, self.sim.horizon)
         for a, b, la, lb, t in pairs:
             enter = _contact_enter(la, lb, t, R)
             if clock <= enter <= last:
@@ -438,10 +444,14 @@ class QueryProtocol:
     # -- query issue and dissemination -------------------------------------------
 
     def _on_issue(self, payload: dict, t: float) -> None:
-        if self._contacts_due and not payload["descriptor"].is_snapshot:
-            self._contacts_due = False
-            self.schedule_contacts()
-        desc = self._announce(payload["descriptor"], t)
+        desc = payload["descriptor"]
+        if (
+            self.mode == MODE_DISTRIBUTED
+            and not desc.is_snapshot
+            and all(o.descriptor.is_snapshot for o in self.outcomes.values())
+        ):
+            self._start_kinetics(t)
+        desc = self._announce(desc, t)
         qid = desc.query_id
         self.outcomes[qid] = QueryOutcome(descriptor=desc, issue_time=t)
         timeout = t + TIMEOUT_FACTOR * (desc.ttl + 1) * self.sim.link.hop_delay
@@ -604,9 +614,10 @@ class QueryProtocol:
             self._issuer_recompute(outcome, t)
         else:
             outcome.recompute_scheduled = True
-            self.sim.schedule(
-                due, EVENT_SAFE_TIME, {"recompute": outcome.descriptor.query_id}
-            )
+            self.sim.schedule(due, EVENT_RECOMPUTE, {"query_id": outcome.descriptor.query_id})
+
+    def _on_recompute(self, payload: dict, t: float) -> None:
+        self._issuer_recompute(self.outcomes[payload["query_id"]], t)
 
     def _issuer_recompute(self, outcome: QueryOutcome, t: float) -> None:
         outcome.last_recompute = t
@@ -655,11 +666,6 @@ class QueryProtocol:
             if desc.issuer == moved and not desc.is_snapshot and not self._expired(desc, t):
                 self._reflood(qid, t)
                 self._schedule_issuer_recompute(outcome, t)
-        lo, hi = self._contact_span
-        if not lo < t <= hi:
-            # at lo itself the issue certifies the new leg, and only issuers
-            # hold a query yet
-            return
         self._touch_holders_near(moved, t)
         mine = _leg_floats(self.sim.nodes[moved].plan, t)
         # each other node's leg is read as its pair is certified
@@ -681,10 +687,7 @@ class QueryProtocol:
             if not self._is_issuer(nid, qid):
                 self._monitor_tick(nid, node.query_buffer[qid], t)
 
-    def _on_trigger(self, payload: dict, t: float) -> None:
-        if "recompute" in payload:
-            self._issuer_recompute(self.outcomes[payload["recompute"]], t)
-            return
+    def _on_contact(self, payload: dict, t: float) -> None:
         a, b = payload["a"], payload["b"]
         self._piggyback(a, b, t)
         self._piggyback(b, a, t)

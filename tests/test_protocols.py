@@ -20,6 +20,7 @@ from rangeskyline.kinematics import (
     safe_interval,
 )
 from rangeskyline.netsim import (
+    EVENT_RECOMPUTE,
     EVENT_SAFE_TIME,
     LinkModel,
     MSG_REPLY,
@@ -75,7 +76,7 @@ def carried(node_id, x, y, vx, vy, attr, observed_at=0.0):
 
 
 def run_query(nodes, issuer_id, R, ttl, mode, r=60.0, p=1.0, seed=0, window=None,
-              horizon=60.0, continuous_setup=False):
+              horizon=60.0):
     link = LinkModel(transmission_range=r, delivery_prob=p)
     sim = Simulator(nodes, link, seed=seed, horizon=horizon)
     proto = QueryProtocol(sim, mode=mode)
@@ -86,8 +87,6 @@ def run_query(nodes, issuer_id, R, ttl, mode, r=60.0, p=1.0, seed=0, window=None
         issuer_state=MotionState((0.0, 0.0), (0.0, 0.0), issue_at),
         range_R=R, window=win, ttl=ttl,
     )
-    if continuous_setup:
-        proto.schedule_mobility()
     proto.issue(desc, issue_at)
     sim.run()
     return sim, proto, proto.outcomes[1]
@@ -289,7 +288,7 @@ def test_static_continuous_timeline_is_single_interval_equal_oracle():
     rng = random.Random(2002)
     nodes = random_static_world(rng, 20)
     sim, proto, outcome = run_query(
-        nodes, 0, R=100.0, ttl=2, mode=MODE_DISTRIBUTED, r=90.0, window=8.0, continuous_setup=True
+        nodes, 0, R=100.0, ttl=2, mode=MODE_DISTRIBUTED, r=90.0, window=8.0
     )
     expected = oracle_snapshot(nodes, 0, 100.0, 1.0)
     realized = outcome.realized_timeline()
@@ -304,7 +303,7 @@ def test_static_continuous_sends_no_update_messages():
     rng = random.Random(303)
     nodes = random_static_world(rng, 20)
     sim, proto, outcome = run_query(
-        nodes, 0, R=100.0, ttl=2, mode=MODE_DISTRIBUTED, r=90.0, window=8.0, continuous_setup=True
+        nodes, 0, R=100.0, ttl=2, mode=MODE_DISTRIBUTED, r=90.0, window=8.0
     )
     assert sim.stats.sent.get(MSG_UPDATE, 0) == 0
 
@@ -319,8 +318,7 @@ def test_relay_known_entrant_appears_in_predicted_result():
         NodeRuntime(8, entrant_plan, AttributeVector((1.0,))),
     ]
     sim, proto, outcome = run_query(
-        nodes, 0, R=100.0, ttl=1, mode=MODE_DISTRIBUTED, r=100.0, window=8.0,
-        continuous_setup=True,
+        nodes, 0, R=100.0, ttl=1, mode=MODE_DISTRIBUTED, r=100.0, window=8.0
     )
     # entrant at x=150-10t crosses R=100 at t=5, i.e. 4 s into the window;
     # it overtakes and dominates the relay from t=5.5
@@ -445,7 +443,7 @@ def pending_contacts(sim):
     return sorted(
         (e[0], e[3]["a"], e[3]["b"])
         for e in sim._heap
-        if e[2] == EVENT_SAFE_TIME and "a" in e[3]
+        if e[2] == EVENT_SAFE_TIME
     )
 
 
@@ -457,7 +455,6 @@ def test_late_certification_schedules_the_triggers_of_one_from_time_zero():
         link = LinkModel(transmission_range=30.0)
         sim = Simulator(contact_world(seed), link, horizon=60.0)
         proto = QueryProtocol(sim)
-        proto.schedule_mobility()
         proto.issue(continuous_query(0, (0.0, 60.0)), 0.0)
         sim.run(until=later)
         expected = pending_contacts(sim)
@@ -511,7 +508,7 @@ def scheduled_contacts(sim):
     return [
         (e[0], e[3]["a"], e[3]["b"])
         for e in sorted(sim._heap, key=lambda e: e[1])
-        if e[2] == EVENT_SAFE_TIME and "a" in e[3]
+        if e[2] == EVENT_SAFE_TIME
     ]
 
 
@@ -575,43 +572,65 @@ def test_certification_equals_the_per_pair_reference_on_scenario2_worlds():
 
 def test_contact_triggers_fire_only_inside_the_query_span(monkeypatch):
     fired = []
-    on_trigger = QueryProtocol._on_trigger
+    arrived = []
+    on_contact = QueryProtocol._on_contact
+    on_waypoint = QueryProtocol._on_waypoint
 
-    def record_trigger(proto, payload, t):
-        if "a" in payload:
-            fired.append(t)
-        on_trigger(proto, payload, t)
+    def record_contact(proto, payload, t):
+        fired.append(t)
+        on_contact(proto, payload, t)
 
-    monkeypatch.setattr(QueryProtocol, "_on_trigger", record_trigger)
+    def record_waypoint(proto, payload, t):
+        arrived.append(t)
+        on_waypoint(proto, payload, t)
+
+    monkeypatch.setattr(QueryProtocol, "_on_contact", record_contact)
+    monkeypatch.setattr(QueryProtocol, "_on_waypoint", record_waypoint)
     dense = replace(scenario2(), node_count=90, query_count=2)
     for scen, seed in ((scenario2(), "golden:0"), (dense, "golden:1")):
         fired.clear()
+        arrived.clear()
         windows = query_windows(scen, seed)
         first = min(t0 for t0, _ in windows)
         last = max(t_end for _, t_end in windows)
         run_scenario(scen, seed, "dcrsq")
         assert fired
         assert all(first <= t <= last for t in fired), (seed, min(fired), max(fired))
+        assert arrived
+        assert all(first < t <= last for t in arrived), (seed, min(arrived), max(arrived))
+
+
+def test_centralized_runs_schedule_recomputes_but_no_contact_trigger(monkeypatch):
+    kinds = []
+    schedule = Simulator.schedule
+
+    def record_schedule(sim, fire_at, kind, payload=None, hop=None):
+        kinds.append(kind)
+        schedule(sim, fire_at, kind, payload, hop)
+
+    monkeypatch.setattr(Simulator, "schedule", record_schedule)
+    run_scenario(scenario2(), "golden:0", "centralized")
+    assert EVENT_SAFE_TIME not in kinds
+    assert EVENT_RECOMPUTE in kinds
 
 
 def test_contact_triggers_fire_on_the_legs_they_were_computed_from(monkeypatch):
     scheduled = []
     fired = []
     schedule = Simulator.schedule
-    on_trigger = QueryProtocol._on_trigger
+    on_contact = QueryProtocol._on_contact
 
     def record_schedule(sim, fire_at, kind, payload=None, hop=None):
-        if kind == EVENT_SAFE_TIME and "a" in payload:
+        if kind == EVENT_SAFE_TIME:
             scheduled.append((sim, sim.clock, fire_at, payload))
         schedule(sim, fire_at, kind, payload, hop)
 
-    def record_trigger(proto, payload, t):
-        if "a" in payload:
-            fired.append((payload, t))
-        on_trigger(proto, payload, t)
+    def record_contact(proto, payload, t):
+        fired.append((payload, t))
+        on_contact(proto, payload, t)
 
     monkeypatch.setattr(Simulator, "schedule", record_schedule)
-    monkeypatch.setattr(QueryProtocol, "_on_trigger", record_trigger)
+    monkeypatch.setattr(QueryProtocol, "_on_contact", record_contact)
     run_scenario(scenario2(), "golden:0", "dcrsq")
     # every trigger is scheduled within the horizon, so every one fires
     fired_at = {id(payload): t for payload, t in fired}
