@@ -10,8 +10,13 @@ candidate sets, two queries per run) before the prediction kernel was
 rewritten over per-candidate floats.  The scenario2 and scenario2-dense
 trace digests were retaken when contact triggers became limited to the
 query span: those traces lost 1,184 and 1,545 idle safe-time-trigger lines
-and gained, moved or changed no other line.  A change that is meant to
-alter results must regenerate them and say why:
+and gained, moved or changed no other line.  They were retaken again when
+the first continuous issue began scheduling waypoint arrivals, and the
+issuer recompute got its own event kind: the scenario2 and scenario2-dense
+traces lost 101 and 95 waypoint-arrival lines outside the query span, and
+57 and 110 recompute lines changed from safe-time-trigger to
+issuer-recompute with the query id filled in; no other line changed.  A
+change that is meant to alter results must regenerate them and say why:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -45,8 +50,8 @@ GOLDEN = {
 GOLDEN_TRACE = {
     "scenario1": "ef9848bc943b26d8a4d827946920e9e50de799fefd986ce6ca4451541afe30d2",
     "scenario1-3d": "28ad681415c2bb660026ae33bed88317e116611e1fef76d16e313cb284de0675",
-    "scenario2": "2928fe9dc3d417aa60a6095b96c69c04012cf50f4fe520097ea22e322084ad6b",
-    "scenario2-dense": "ba96cc678e9b2c5cacd819c84ed0197f04a50619e5ca156c399f551201c02053",
+    "scenario2": "fba4ae18f10e8645d9561190717177b3de600d3e36df5b327f782a0826bc94db",
+    "scenario2-dense": "856070d4773074b0bcd60ba2e7060f1f51f095ac39c82bdeca9bc7635615a248",
 }
 
 
