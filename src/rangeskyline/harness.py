@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import statistics
 from dataclasses import dataclass, fields, replace
 
@@ -119,10 +120,14 @@ class Scenario:
         return self.delta_t == 0.0
 
     def directions(self) -> tuple[str, ...]:
-        """Per-dimension preference flags; minimize everywhere by default."""
+        """Per-dimension preference flags; minimize everywhere by default.
+
+        Entries are separated by commas, whitespace or both; an empty entry
+        is an unknown direction.
+        """
         if not self.attr_directions:
             return tuple(MINIMIZE for _ in range(self.attr_dims))
-        parts = tuple(p.strip() for p in self.attr_directions.split(","))
+        parts = tuple(re.split(r"\s*,\s*|\s+", self.attr_directions.strip()))
         if len(parts) != self.attr_dims:
             raise ValueError("attr_directions length must match attr_dims")
         for d in parts:
@@ -388,7 +393,6 @@ def sweep(
     param: str,
     values: list,
     replications: int | None = None,
-    approaches: tuple[str, ...] | None = None,
 ) -> list[str]:
     """Paired-seed parameter sweep; returns CSV lines including the header."""
     _sweep_field_type(param)
@@ -400,7 +404,7 @@ def sweep(
         cell = scenario if param == "none" else replace(scenario, **{param: value})
         for rep in range(reps):
             seed = f"{scenario.seed}:{param}:{value}:{rep}"
-            for approach in approaches or default_approaches(cell):
+            for approach in default_approaches(cell):
                 result = run_scenario(cell, seed, approach)
                 lines.append(csv_row(result, param, value, rep))
     return lines

@@ -163,7 +163,6 @@ class WaypointPlan:
         waypoints: list[tuple[float, float]] | None = None,
         speeds: list[float] | None = None,
     ) -> None:
-        self.horizon = horizon
         self.legs: list[Leg] = []
         lo, hi = speed_range
         t = 0.0
@@ -229,12 +228,7 @@ class WaypointPlan:
             return MotionState(position, (0.0, 0.0), t)
         return MotionState(position, v, t)
 
-    def leg_change_times(self, t0: float = 0.0, t1: float | None = None) -> list[float]:
+    def leg_change_times(self, t0: float, t1: float) -> list[float]:
         """Interior leg-boundary instants within (t0, t1]."""
-        end = self.horizon if t1 is None else t1
-        return [
-            leg.t_start
-            for leg in self.legs
-            if t0 < leg.t_start <= end and leg.t_start > 0.0
-        ]
+        return [leg.t_start for leg in self.legs if t0 < leg.t_start <= t1 and leg.t_start > 0.0]
 

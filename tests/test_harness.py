@@ -309,6 +309,18 @@ def test_cli_sweep_takes_a_string_field_as_written(tmp_path, param, text):
     assert all(row[2:4] == [param, text] for row in rows)
 
 
+def test_cli_sweeps_a_direction_list_in_its_space_form(tmp_path):
+    cfg = tmp_path / "dirs.cfg"
+    cfg.write_text("node_count = 20\nattr_dims = 2\n")
+    proc = run_cli(
+        "sweep", "--preset", "scenario1", "--scenario", str(cfg),
+        "--param", "attr_directions", "--values", "min max,max min", "--reps", "1",
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert [row[3] for row in rows] == ["min max"] * 2 + ["max min"] * 2
+
+
 def test_sweep_values_keep_int_then_float_for_numeric_fields():
     values = sweep_values("node_count", "20,25")
     assert values == [20, 25] and all(type(v) is int for v in values)
@@ -358,6 +370,18 @@ def test_attribute_directions_flow_into_world():
     assert sensor.attrs.directions == ("min", "max")
     with pytest.raises(ValueError):
         replace(scenario1(), attr_dims=2, attr_directions="min").directions()
+
+
+@pytest.mark.parametrize("text", ["min max", "min,max", "min, max", " min ,max "])
+def test_attribute_directions_take_commas_whitespace_or_both(text):
+    assert replace(scenario1(), attr_dims=2, attr_directions=text).directions() == ("min", "max")
+
+
+@pytest.mark.parametrize("text", ["min,,max", "min, ,max", "min,max,", ",min max"])
+def test_attribute_directions_reject_an_empty_entry(text):
+    # three entries with one empty: rejected for the entry, not the count
+    with pytest.raises(ValueError, match="unknown direction ''"):
+        replace(scenario1(), attr_dims=3, attr_directions=text)
 
 
 def test_cli_sweep_writes_deterministic_csv(tmp_path):
