@@ -380,18 +380,6 @@ class QueryProtocol:
             {"query_id": descriptor.query_id, "node": descriptor.issuer, "descriptor": descriptor},
         )
 
-    def _start_kinetics(self, t: float) -> None:
-        """Every node's leg changes in (t, span end], then contact triggers.
-
-        Kinetic events matter only while a continuous query is live, so the
-        first distributed continuous issue starts them at its instant t.
-        """
-        last = min(self._span_end, self.sim.horizon)
-        for nid in sorted(self.sim.nodes):
-            for w in self.sim.nodes[nid].plan.leg_change_times(t, last):
-                self.sim.schedule(w, EVENT_WAYPOINT, {"node": nid})
-        self.schedule_contacts()
-
     def schedule_contacts(self) -> None:
         """Range-crossing triggers for all node pairs on their current legs.
 
@@ -450,7 +438,13 @@ class QueryProtocol:
             and not desc.is_snapshot
             and all(o.descriptor.is_snapshot for o in self.outcomes.values())
         ):
-            self._start_kinetics(t)
+            # kinetic events matter only while a continuous query is live: the
+            # first one schedules every leg change in (t, span end], then contacts
+            last = min(self._span_end, self.sim.horizon)
+            for nid in sorted(self.sim.nodes):
+                for w in self.sim.nodes[nid].plan.leg_change_times(t, last):
+                    self.sim.schedule(w, EVENT_WAYPOINT, {"node": nid})
+            self.schedule_contacts()
         desc = self._announce(desc, t)
         qid = desc.query_id
         self.outcomes[qid] = QueryOutcome(descriptor=desc, issue_time=t)
