@@ -15,7 +15,7 @@ import math
 import random
 import re
 import statistics
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from rangeskyline.analysis import CostParams, derive_ttl
 from rangeskyline.kinematics import MotionState, WaypointPlan
@@ -27,6 +27,7 @@ from rangeskyline.netsim import (
     MSG_UPDATE,
     NodeRuntime,
     Simulator,
+    TraceLog,
 )
 from rangeskyline.protocols import (
     MODE_CENTRALIZED,
@@ -219,7 +220,12 @@ class RunResult:
     msgs_flood: int
     msgs_reply: int
     msgs_update: int
-    trace: list[str]
+    trace_log: TraceLog = field(repr=False)
+
+    @property
+    def trace(self) -> list[str]:
+        """The run's trace lines, formatted on the first read, which frees the records."""
+        return self.trace_log.lines()
 
     @property
     def msgs_total(self) -> int:
@@ -371,7 +377,7 @@ def run_scenario(scenario: Scenario, seed: object, approach: str) -> RunResult:
         msgs_flood=sim.stats.sent.get(MSG_QUERY, 0),
         msgs_reply=sim.stats.sent.get(MSG_REPLY, 0),
         msgs_update=sim.stats.sent.get(MSG_UPDATE, 0),
-        trace=sim.trace,
+        trace_log=sim.trace_log,
     )
 
 

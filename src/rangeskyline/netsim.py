@@ -129,6 +129,47 @@ class MessageStats:
     lost: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
 
+def trace_line(record: tuple) -> str:
+    """The tab-separated trace line of one record (clock, kind, payload, hop).
+
+    A message record carries its Message and (sender, receiver) hop; any
+    other event has no hop and names the node and query of a dict payload.
+    """
+    clock, kind, payload, hop = record
+    if hop is not None:
+        oid = payload.payload.id if isinstance(payload.payload, DataObject) else "-"
+        return (
+            f"{clock:.9f}\t{kind}\t{hop[0]}\t{hop[1]}\t{payload.msg_type}"
+            f"\t{payload.ttl}\t{payload.query_id}\t{oid}"
+        )
+    node = qid = "-"
+    if isinstance(payload, dict):
+        node = payload.get("node", "-")
+        qid = payload.get("query_id", "-")
+    return f"{clock:.9f}\t{kind}\t{node}\t-\t-\t-\t{qid}\t-"
+
+
+class TraceLog:
+    """A run's trace records, each turned into its line in place when first read.
+
+    Recording a record is one list append; no line is built unless the trace
+    is read.  Records keep references to their payloads, which nothing
+    mutates once scheduled, and each record is freed as its line replaces it.
+    """
+
+    def __init__(self) -> None:
+        self.records: list = []
+        self._formatted = 0
+
+    def lines(self) -> list[str]:
+        """Every line so far, formatting the records added since the last read."""
+        records = self.records
+        for i in range(self._formatted, len(records)):
+            records[i] = trace_line(records[i])
+        self._formatted = len(records)
+        return records
+
+
 class Simulator:
     """Single-threaded deterministic event loop over a set of mobile nodes.
 
@@ -151,7 +192,8 @@ class Simulator:
         self.horizon = horizon
         self.clock = 0.0
         self.stats = MessageStats()
-        self.trace: list[str] = []
+        self.trace_log = TraceLog()
+        self._record = self.trace_log.records.append
         self._heap: list = []
         self._seq = itertools.count()
         self._handlers: dict[str, Callable] = {}
@@ -203,7 +245,7 @@ class Simulator:
             fire_at, _, kind, payload, hop = heapq.heappop(self._heap)
             self.clock = fire_at
             if kind == EVENT_MESSAGE:
-                self._deliver(payload, *hop)
+                self._deliver(payload, hop)
             else:
                 self._trace_event(kind, payload)
                 handler = self._handlers.get(kind)
@@ -246,7 +288,7 @@ class Simulator:
         """Count and trace a message that was sent but never arrives."""
         self.stats.sent[msg.msg_type] += 1
         self.stats.lost[msg.msg_type] += 1
-        self._trace_msg(EVENT_MESSAGE_LOST, msg, sender, receiver)
+        self._trace_msg(EVENT_MESSAGE_LOST, msg, (sender, receiver))
         return False
 
     def _next_slot(self, sender: int) -> float:
@@ -285,9 +327,10 @@ class Simulator:
             return self._drop(msg, sender, BROADCAST)
         return self.unicast(sender, parent, msg)
 
-    def _deliver(self, msg: Message, sender: int, receiver: int) -> None:
+    def _deliver(self, msg: Message, hop: tuple[int, int]) -> None:
         self.stats.delivered[msg.msg_type] += 1
-        self._trace_msg(EVENT_MESSAGE, msg, sender, receiver)
+        self._trace_msg(EVENT_MESSAGE, msg, hop)
+        sender, receiver = hop
         fresh = True
         if msg.msg_type == MSG_QUERY:
             key = (msg.query_id, msg.generation)
@@ -322,17 +365,13 @@ class Simulator:
 
     # -- tracing ---------------------------------------------------------------
 
-    def _trace_msg(self, kind: str, msg: Message, sender: int, receiver: int) -> None:
-        oid = msg.payload.id if isinstance(msg.payload, DataObject) else "-"
-        self.trace.append(
-            f"{self.clock:.9f}\t{kind}\t{sender}\t{receiver}\t{msg.msg_type}"
-            f"\t{msg.ttl}\t{msg.query_id}\t{oid}"
-        )
+    @property
+    def trace(self) -> list[str]:
+        """The trace lines recorded so far; a read after a resume adds the new ones."""
+        return list(self.trace_log.lines())
+
+    def _trace_msg(self, kind: str, msg: Message, hop: tuple[int, int]) -> None:
+        self._record((self.clock, kind, msg, hop))
 
     def _trace_event(self, kind: str, payload: object) -> None:
-        node = "-"
-        qid = "-"
-        if isinstance(payload, dict):
-            node = payload.get("node", "-")
-            qid = payload.get("query_id", "-")
-        self.trace.append(f"{self.clock:.9f}\t{kind}\t{node}\t-\t-\t-\t{qid}\t-")
+        self._record((self.clock, kind, payload, None))

@@ -1,9 +1,11 @@
+import hashlib
 import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
 
+from rangeskyline import cli, netsim
 from rangeskyline.harness import (
     CSV_HEADER,
     build_world,
@@ -18,6 +20,8 @@ from rangeskyline.harness import (
     sweep,
     sweep_values,
 )
+from rangeskyline.netsim import Simulator
+from rangeskyline.skyline import DataObject
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +365,93 @@ def test_cli_run_trace_is_deterministic(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append((out.read_bytes(), trace.read_bytes()))
     assert outs[0] == outs[1]
+
+
+# a small lossy continuous world whose two runs, centralized and dcrsq, trace
+# every event kind, messages with and without a carried object
+LOSSY = "node_count = 25\narea_width = 200\narea_height = 200\ndelivery_prob = 0.8\n"
+LOSSY_ARGS = ["run", "--preset", "scenario2", "--seed", "3"]
+# sha256 of the CSV and --trace files of that run, taken while the simulator
+# still formatted each line as it traced it
+LOSSY_CSV_SHA = "5b242e567f3426e99efb9edc1ab1c8aa6137e3b69268ee5123c468c747a2616f"
+LOSSY_TRACE_SHA = "842beb14ffd36019762aae7e1f94561e1ae3a5ab173bb4999f36e9d5f73f60e8"
+EVENT_KINDS = {
+    netsim.EVENT_MESSAGE,
+    netsim.EVENT_MESSAGE_LOST,
+    netsim.EVENT_WAYPOINT,
+    netsim.EVENT_PERIODIC,
+    netsim.EVENT_SAFE_TIME,
+    netsim.EVENT_RECOMPUTE,
+    netsim.EVENT_QUERY_ISSUE,
+    netsim.EVENT_QUERY_EXPIRE,
+    netsim.EVENT_REPLY_DEADLINE,
+}
+
+
+def _eager_msg_line(clock, kind, msg, sender, receiver):
+    """A message's trace line as the simulator once built it while tracing."""
+    oid = msg.payload.id if isinstance(msg.payload, DataObject) else "-"
+    return (
+        f"{clock:.9f}\t{kind}\t{sender}\t{receiver}\t{msg.msg_type}"
+        f"\t{msg.ttl}\t{msg.query_id}\t{oid}"
+    )
+
+
+def _eager_event_line(clock, kind, payload):
+    """Any other event's trace line as the simulator once built it while tracing."""
+    node = "-"
+    qid = "-"
+    if isinstance(payload, dict):
+        node = payload.get("node", "-")
+        qid = payload.get("query_id", "-")
+    return f"{clock:.9f}\t{kind}\t{node}\t-\t-\t-\t{qid}\t-"
+
+
+def test_trace_lines_equal_the_eager_format_on_a_lossy_world(monkeypatch):
+    eager: list[str] = []
+    trace_msg, trace_event = Simulator._trace_msg, Simulator._trace_event
+
+    def eager_msg(sim, kind, msg, hop):
+        eager.append(_eager_msg_line(sim.clock, kind, msg, *hop))
+        trace_msg(sim, kind, msg, hop)
+
+    def eager_event(sim, kind, payload):
+        eager.append(_eager_event_line(sim.clock, kind, payload))
+        trace_event(sim, kind, payload)
+
+    monkeypatch.setattr(Simulator, "_trace_msg", eager_msg)
+    monkeypatch.setattr(Simulator, "_trace_event", eager_event)
+    scen = parse_config(LOSSY, base=scenario2())
+    fields = []
+    for approach in ("centralized", "dcrsq"):
+        eager.clear()
+        lines = run_scenario(scen, 3, approach).trace
+        assert lines == eager
+        fields += [line.split("\t") for line in lines]
+    assert {f[1] for f in fields} == EVENT_KINDS
+    objects = {f[7] != "-" for f in fields if f[1] == netsim.EVENT_MESSAGE}
+    assert objects == {True, False}
+
+
+def test_untraced_runs_format_no_trace_line(monkeypatch, tmp_path):
+    def refuse(record):
+        raise AssertionError("a trace line was formatted")
+
+    cfg = tmp_path / "lossy.cfg"
+    cfg.write_text(LOSSY)
+    out, trace = tmp_path / "run.csv", tmp_path / "run.trace"
+    args = [*LOSSY_ARGS, "--scenario", str(cfg), "--out", str(out)]
+    monkeypatch.setattr(netsim, "trace_line", refuse)
+    rows = sweep(parse_config(LOSSY, base=scenario2()), "delivery_prob", [0.8], replications=1)
+    assert len(rows) == 3
+    assert cli.main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LOSSY_CSV_SHA
+    with pytest.raises(AssertionError, match="formatted"):
+        cli.main([*args, "--trace", str(trace)])
+
+    monkeypatch.undo()
+    assert cli.main([*args, "--trace", str(trace)]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == LOSSY_TRACE_SHA
 
 
 def test_attribute_directions_flow_into_world():

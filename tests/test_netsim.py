@@ -64,7 +64,7 @@ def bfs_depths(coords, r, origin=0):
     return depth, adj
 
 
-def run_flood(sim, ttl, qid=1):
+def run_flood(sim, ttl, qid=1, until=None):
     received = set()
     sim.on_message = lambda node, msg, t: received.add(node)
     sim.schedule(0.0, EVENT_QUERY_ISSUE, {"node": 0, "query_id": qid})
@@ -72,7 +72,7 @@ def run_flood(sim, ttl, qid=1):
         EVENT_QUERY_ISSUE,
         lambda payload, t: sim.flood(payload["node"], query_msg(ttl, qid)),
     )
-    sim.run()
+    sim.run(until)
     return received
 
 
@@ -316,6 +316,26 @@ def test_same_seed_gives_identical_trace():
         return sim.trace
 
     assert one_run() == one_run()
+
+
+def test_trace_read_mid_run_holds_every_line_after_resume():
+    rng = random.Random(55)
+    coords = [(rng.uniform(0, 150), rng.uniform(0, 150)) for _ in range(12)]
+    whole_run = build_sim(coords, r=70.0, p=0.8, seed=99)
+    run_flood(whole_run, ttl=2)
+    whole = whole_run.trace
+    # stop before the last instant, so the resume traces that instant's events
+    stop = sorted({float(line.split("\t")[0]) for line in whole})[-2]
+
+    sim = build_sim(coords, r=70.0, p=0.8, seed=99)
+    run_flood(sim, ttl=2, until=stop)
+    first = sim.trace
+    read = len(first)
+    sim.run()
+    assert len(first) == read  # an earlier read is a snapshot that the resume leaves alone
+    assert 0 < read < len(whole)
+    assert first == whole[:read]
+    assert sim.trace == whole
 
 
 def test_empty_node_set_produces_empty_trace():
