@@ -110,6 +110,19 @@ class Scenario:
             raise ValueError("attr_dims must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        # products, not `** 2`, so an overflow reads inf instead of raising;
+        # a finite squared diagonal bounds the area too: w*h <= (w*w + h*h) / 2
+        w, h = self.area_width, self.area_height
+        if not math.isfinite(w * w + h * h):
+            raise ValueError("area_width^2 + area_height^2 (the squared diagonal) must be finite")
+        for name in ("query_range", "transmission_range"):
+            r = getattr(self, name)
+            # analysis.density's expression; finite implies a finite r*r
+            if not math.isfinite(math.pi * r * r * self.node_count / self.area):
+                raise ValueError(
+                    f"{name}: pi * {name}^2 * node_count / area (nodes expected in range) "
+                    "must be finite"
+                )
         self.directions()
 
     @property

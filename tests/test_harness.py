@@ -267,6 +267,11 @@ def test_cli_rejects_unreadable_scenario(tmp_path):
         "node_count = 10.5",
         "ttl_cap = 2.5",
         "query_range = abc",
+        # finite values whose squares overflow a float
+        "query_range = 1e300",
+        "transmission_range = 1e200",
+        "area_width = 1e300",
+        "area_height = 1e300",
     ],
 )
 def test_cli_rejects_invalid_scenario(tmp_path, line):
