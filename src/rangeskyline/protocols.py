@@ -232,18 +232,21 @@ def _contact_enter(la: tuple, lb: tuple, t: float, R: float) -> float:
     t < enter < the earlier leg end, and is +inf otherwise.  Legs cover
     [t_start, t_end), so a trigger fires on the legs it was computed from
     and needs no leg stamp (a kinetic certificate).  The floats are those of
-    safe_interval on the motion states of a and b at t, the zero-dt
-    extrapolation of each state included.
+    safe_interval on the motion states of a and b at t: its zero-dt
+    extrapolation adds v * 0.0 = ±0.0, which leaves a coordinate unchanged
+    unless it is -0.0, and a leg position never is: leg origins are the
+    start and the waypoints, uniform draws from [0, side] in a generated
+    world, and a float sum is -0.0 only if both terms are.
     """
     sa, ea, ax, ay, avx, avy = la
     sb, eb, bx, by, bvx, bvy = lb
     leg_end = min(ea, eb)
     if leg_end <= t:
         return INF
-    qx = ax + avx * (t - sa) + avx * 0.0
-    qy = ay + avy * (t - sa) + avy * 0.0
-    px = bx + bvx * (t - sb) + bvx * 0.0
-    py = by + bvy * (t - sb) + bvy * 0.0
+    qx = ax + avx * (t - sa)
+    qy = ay + avy * (t - sa)
+    px = bx + bvx * (t - sb)
+    py = by + bvy * (t - sb)
     enter, _ = crossing_window(px - qx, py - qy, bvx - avx, bvy - avy, R, t)
     return enter if t < enter < leg_end else INF
 
