@@ -152,9 +152,11 @@ def trace_line(record: tuple) -> str:
 class TraceLog:
     """A run's trace records, each turned into its line in place when first read.
 
-    Recording a record is one list append; no line is built unless the trace
-    is read.  Records keep references to their payloads, which nothing
-    mutates once scheduled, and each record is freed as its line replaces it.
+    Recording is one append to `records`; no line is built unless the trace
+    is read.  A read replaces each new record by its line, which frees the
+    record, so `records` holds the lines read so far and then the records
+    still unread.  A record keeps a reference to its payload, which nothing
+    mutates once it is scheduled.
     """
 
     def __init__(self) -> None:
@@ -193,7 +195,6 @@ class Simulator:
         self.clock = 0.0
         self.stats = MessageStats()
         self.trace_log = TraceLog()
-        self._record = self.trace_log.records.append
         self._heap: list = []
         self._seq = itertools.count()
         self._handlers: dict[str, Callable] = {}
@@ -367,11 +368,11 @@ class Simulator:
 
     @property
     def trace(self) -> list[str]:
-        """The trace lines recorded so far; a read after a resume adds the new ones."""
+        """A copy of the trace lines so far; read it again after a resume for the new ones."""
         return list(self.trace_log.lines())
 
     def _trace_msg(self, kind: str, msg: Message, hop: tuple[int, int]) -> None:
-        self._record((self.clock, kind, msg, hop))
+        self.trace_log.records.append((self.clock, kind, msg, hop))
 
     def _trace_event(self, kind: str, payload: object) -> None:
-        self._record((self.clock, kind, payload, None))
+        self.trace_log.records.append((self.clock, kind, payload, None))
