@@ -130,18 +130,20 @@ class MessageStats:
 
 
 def trace_line(record: tuple) -> str:
-    """The tab-separated trace line of one record (clock, kind, payload, hop).
+    """The tab-separated trace line of one record.
 
-    A message record carries its Message and (sender, receiver) hop; any
-    other event has no hop and names the node and query of a dict payload.
+    A message record is (clock, kind, Message, sender, receiver); any other
+    event's is (clock, kind, payload), whose line names the node and query
+    of a dict payload.
     """
-    clock, kind, payload, hop = record
-    if hop is not None:
-        oid = payload.payload.id if isinstance(payload.payload, DataObject) else "-"
+    if len(record) == 5:
+        clock, kind, msg, sender, receiver = record
+        oid = msg.payload.id if isinstance(msg.payload, DataObject) else "-"
         return (
-            f"{clock:.9f}\t{kind}\t{hop[0]}\t{hop[1]}\t{payload.msg_type}"
-            f"\t{payload.ttl}\t{payload.query_id}\t{oid}"
+            f"{clock:.9f}\t{kind}\t{sender}\t{receiver}\t{msg.msg_type}"
+            f"\t{msg.ttl}\t{msg.query_id}\t{oid}"
         )
+    clock, kind, payload = record
     node = qid = "-"
     if isinstance(payload, dict):
         node = payload.get("node", "-")
@@ -246,7 +248,7 @@ class Simulator:
             fire_at, _, kind, payload, hop = heapq.heappop(self._heap)
             self.clock = fire_at
             if kind == EVENT_MESSAGE:
-                self._deliver(payload, hop)
+                self._deliver(payload, *hop)
             else:
                 self._trace_event(kind, payload)
                 handler = self._handlers.get(kind)
@@ -289,7 +291,7 @@ class Simulator:
         """Count and trace a message that was sent but never arrives."""
         self.stats.sent[msg.msg_type] += 1
         self.stats.lost[msg.msg_type] += 1
-        self._trace_msg(EVENT_MESSAGE_LOST, msg, (sender, receiver))
+        self._trace_msg(EVENT_MESSAGE_LOST, msg, sender, receiver)
         return False
 
     def _next_slot(self, sender: int) -> float:
@@ -328,10 +330,9 @@ class Simulator:
             return self._drop(msg, sender, BROADCAST)
         return self.unicast(sender, parent, msg)
 
-    def _deliver(self, msg: Message, hop: tuple[int, int]) -> None:
+    def _deliver(self, msg: Message, sender: int, receiver: int) -> None:
         self.stats.delivered[msg.msg_type] += 1
-        self._trace_msg(EVENT_MESSAGE, msg, hop)
-        sender, receiver = hop
+        self._trace_msg(EVENT_MESSAGE, msg, sender, receiver)
         fresh = True
         if msg.msg_type == MSG_QUERY:
             key = (msg.query_id, msg.generation)
@@ -371,8 +372,10 @@ class Simulator:
         """A copy of the trace lines so far; read it again after a resume for the new ones."""
         return list(self.trace_log.lines())
 
-    def _trace_msg(self, kind: str, msg: Message, hop: tuple[int, int]) -> None:
-        self.trace_log.records.append((self.clock, kind, msg, hop))
+    def _trace_msg(self, kind: str, msg: Message, sender: int, receiver: int) -> None:
+        # the hop as two fields: keeping the delivery's hop tuple alive would
+        # cost more memory per record than the line it replaces
+        self.trace_log.records.append((self.clock, kind, msg, sender, receiver))
 
     def _trace_event(self, kind: str, payload: object) -> None:
-        self.trace_log.records.append((self.clock, kind, payload, None))
+        self.trace_log.records.append((self.clock, kind, payload))

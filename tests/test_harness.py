@@ -416,9 +416,9 @@ def test_trace_lines_equal_the_eager_format_on_a_lossy_world(monkeypatch):
     eager: list[str] = []
     trace_msg, trace_event = Simulator._trace_msg, Simulator._trace_event
 
-    def eager_msg(sim, kind, msg, hop):
-        eager.append(_eager_msg_line(sim.clock, kind, msg, *hop))
-        trace_msg(sim, kind, msg, hop)
+    def eager_msg(sim, kind, msg, sender, receiver):
+        eager.append(_eager_msg_line(sim.clock, kind, msg, sender, receiver))
+        trace_msg(sim, kind, msg, sender, receiver)
 
     def eager_event(sim, kind, payload):
         eager.append(_eager_event_line(sim.clock, kind, payload))
