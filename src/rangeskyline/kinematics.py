@@ -206,19 +206,27 @@ class WaypointPlan:
         i = bisect_right(self._starts, t) - 1
         return max(i, 0)
 
-    # The three lookups below resolve the leg in their own body: they run
-    # for every node at every neighbour snapshot and contact certification.
-
     def leg_at(self, t: float) -> Leg:
         return self.legs[max(bisect_right(self._starts, t) - 1, 0)]
 
+    def leg_span_at(self, t: float) -> tuple[float, float, Leg]:
+        """(lo, hi, leg): leg_at(t) and the span [lo, hi) of instants it is picked on.
+
+        The first leg also covers every instant before it, the last one
+        every instant after its start.
+        """
+        starts = self._starts
+        i = max(bisect_right(starts, t) - 1, 0)
+        lo = starts[i] if i > 0 else -INF
+        hi = starts[i + 1] if i + 1 < len(starts) else INF
+        return lo, hi, self.legs[i]
+
     def position_at(self, t: float) -> tuple[float, float]:
-        leg = self.legs[max(bisect_right(self._starts, t) - 1, 0)]
-        dt = min(t, leg.t_end) - leg.t_start
-        o, v = leg.origin, leg.velocity
-        return (o[0] + v[0] * dt, o[1] + v[1] * dt)
+        return self.leg_at(t).position_at(t)
 
     def motion_state_at(self, t: float) -> MotionState:
+        # resolves the leg in its own body: the oracle calls it for every
+        # node at every epoch
         leg = self.legs[max(bisect_right(self._starts, t) - 1, 0)]
         dt = min(t, leg.t_end) - leg.t_start
         o, v = leg.origin, leg.velocity

@@ -209,10 +209,14 @@ class Simulator:
         self._collection_done: set[int] = set()
         self.on_collection_complete: Callable[[int, float], None] | None = None
         self.on_message: Callable[[int, Message, float], None] | None = None
-        # plans are immutable and the node set is fixed: the id-ordered plans
-        # and the squared range serve every geometry query of the run
-        self._plans = [(nid, self.nodes[nid].plan) for nid in sorted(self.nodes)]
         self._range2 = link.transmission_range**2
+        # The leg table: per node, in id order, the leg last read (see
+        # leg_entry).  Plans are immutable and the node set is fixed, so an
+        # entry stays valid for every instant of its span.
+        self._legs: dict[int, tuple] = {}
+        for nid in sorted(self.nodes):
+            self._reread(nid, 0.0)
+        self._slot = {nid: i for i, nid in enumerate(self._legs)}
         self._snapshot_t: float | None = None
         self._snapshot: list[tuple[int, float, float]] = []
 
@@ -257,13 +261,46 @@ class Simulator:
 
     # -- geometry oracle ----------------------------------------------------
 
+    def leg_entry(self, node_id: int, t: float) -> tuple:
+        """(lo, hi, t_start, t_end, x, y, vx, vy, leg): the node's leg at t.
+
+        leg is plan.leg_at(t), with its start, end, origin and velocity as
+        floats; [lo, hi) is the span of instants on which leg_at picks it.
+        A lookup inside the span of the entry last read is one tuple read
+        (a kinetic certificate that holds until the leg ends); any other
+        instant, later or earlier, re-reads the plan and replaces the entry.
+        """
+        entry = self._legs[node_id]
+        if entry[0] <= t < entry[1]:
+            return entry
+        return self._reread(node_id, t)
+
+    def _reread(self, node_id: int, t: float) -> tuple:
+        lo, hi, leg = self.nodes[node_id].plan.leg_span_at(t)
+        entry = (lo, hi, leg.t_start, leg.t_end, *leg.origin, *leg.velocity, leg)
+        self._legs[node_id] = entry
+        return entry
+
+    def position(self, node_id: int, t: float) -> tuple[float, float]:
+        """The node's position at t: plan.position_at(t), read from the leg table."""
+        _, _, t_start, t_end, x, y, vx, vy, _ = self.leg_entry(node_id, t)
+        dt = min(t, t_end) - t_start
+        return (x + vx * dt, y + vy * dt)
+
     def neighbors_of(self, node_id: int, t: float) -> list[int]:
         """Ascending ids of all nodes within the transmission range (closed ball) at t."""
         if self._snapshot_t != t:
-            # (id, x, y) of every node, kept for the latest instant asked
-            self._snapshot = [(nid, *plan.position_at(t)) for nid, plan in self._plans]
+            # (id, x, y) of every node, kept for the latest instant asked;
+            # _reread replaces a value, never a key, so the loop may call it
+            snapshot = []
+            for nid, (lo, hi, t_start, t_end, x, y, vx, vy, _) in self._legs.items():
+                if not lo <= t < hi:
+                    _, _, t_start, t_end, x, y, vx, vy, _ = self._reread(nid, t)
+                dt = min(t, t_end) - t_start
+                snapshot.append((nid, x + vx * dt, y + vy * dt))
+            self._snapshot = snapshot
             self._snapshot_t = t
-        mx, my = self.nodes[node_id].plan.position_at(t)
+        _, mx, my = self._snapshot[self._slot[node_id]]
         r2 = self._range2
         return [
             nid
@@ -272,8 +309,8 @@ class Simulator:
         ]
 
     def in_contact(self, a: int, b: int, t: float) -> bool:
-        ax, ay = self.nodes[a].plan.position_at(t)
-        bx, by = self.nodes[b].plan.position_at(t)
+        ax, ay = self.position(a, t)
+        bx, by = self.position(b, t)
         return (ax - bx) ** 2 + (ay - by) ** 2 <= self._range2
 
     # -- transmission -------------------------------------------------------

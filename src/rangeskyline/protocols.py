@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from rangeskyline.kinematics import (
     INF,
     MotionState,
-    WaypointPlan,
     crossing_window,
     position_at,
     safe_interval,
@@ -219,14 +218,8 @@ def predict_timeline(
     return out or [(frozenset(), (lo, hi))]
 
 
-def _leg_floats(plan: WaypointPlan, t: float) -> tuple[float, float, float, float, float, float]:
-    """(t_start, t_end, x, y, vx, vy) of the plan's leg at t."""
-    leg = plan.leg_at(t)
-    return (leg.t_start, leg.t_end, *leg.origin, *leg.velocity)
-
-
 def _contact_enter(la: tuple, lb: tuple, t: float, R: float) -> float:
-    """When the nodes on legs la and lb (_leg_floats) come within R.
+    """When the nodes on legs la and lb (Simulator.leg_entry) come within R.
 
     Certified at t, an instant on both legs: the crossing is kept only when
     t < enter < the earlier leg end, and is +inf otherwise.  Legs cover
@@ -238,8 +231,8 @@ def _contact_enter(la: tuple, lb: tuple, t: float, R: float) -> float:
     start and the waypoints, uniform draws from [0, side] in a generated
     world, and a float sum is -0.0 only if both terms are.
     """
-    sa, ea, ax, ay, avx, avy = la
-    sb, eb, bx, by, bvx, bvy = lb
+    _, _, sa, ea, ax, ay, avx, avy, _ = la
+    _, _, sb, eb, bx, by, bvx, bvy, _ = lb
     leg_end = min(ea, eb)
     if leg_end <= t:
         return INF
@@ -391,9 +384,9 @@ class QueryProtocol:
         float whenever the certification runs.
         """
         ids = sorted(self.sim.nodes)
-        legs = [_leg_floats(self.sim.nodes[nid].plan, self.sim.clock) for nid in ids]
+        legs = [self.sim.leg_entry(nid, self.sim.clock) for nid in ids]
         self._certify(
-            (a, ids[j], la, legs[j], max(la[0], legs[j][0]))
+            (a, ids[j], la, legs[j], max(la[2], legs[j][2]))
             for i, (a, la) in enumerate(zip(ids, legs))
             for j in range(i + 1, len(ids))
         )
@@ -414,23 +407,35 @@ class QueryProtocol:
 
     # -- sensing ---------------------------------------------------------------
 
-    def _sense(self, node_id: int, t: float, predictive: bool) -> DataObject:
-        """Own or neighbor record; predictive records anchor at the leg start."""
+    def _sense(self, node_id: int, t: float) -> DataObject:
+        """The node's own record of its position and velocity at t."""
         node = self.sim.nodes[node_id]
-        leg = node.plan.leg_at(t)
-        if predictive:
-            if t >= leg.t_end:
-                return DataObject(
-                    node_id, leg.position_at(leg.t_end), (0.0, 0.0), node.attrs, leg.t_end
-                )
-            return DataObject(node_id, leg.origin, leg.velocity, node.attrs, leg.t_start)
         state = node.plan.motion_state_at(t)
         return DataObject(node_id, state.position, state.velocity, node.attrs, t)
 
     def _sense_neighborhood(self, node_id: int, state: SensorQueryState, t: float) -> None:
-        for nid in [node_id] + self.sim.neighbors_of(node_id, t):
-            if self.sim.nodes[nid].attrs is not None:
-                keep_newest(state.known, self._sense(nid, t, predictive=True))
+        """Record the node and its neighbours as anchored on their current legs.
+
+        A record anchors at its leg start and shares the leg's origin and
+        velocity; past the final leg it holds still at the leg end.  None is
+        built when known holds one at least as new, which keep_newest drops.
+        """
+        sim = self.sim
+        known = state.known
+        for nid in [node_id] + sim.neighbors_of(node_id, t):
+            attrs = sim.nodes[nid].attrs
+            if attrs is None:
+                continue
+            _, _, t_start, t_end, _, _, _, _, leg = sim.leg_entry(nid, t)
+            stopped = t >= t_end
+            kept = known.get(nid)
+            if kept is not None and kept.observed_at >= (t_end if stopped else t_start):
+                continue
+            if stopped:
+                record = DataObject(nid, leg.position_at(t_end), (0.0, 0.0), attrs, t_end)
+            else:
+                record = DataObject(nid, leg.origin, leg.velocity, attrs, t_start)
+            keep_newest(known, record)
 
     # -- query issue and dissemination -------------------------------------------
 
@@ -510,12 +515,12 @@ class QueryProtocol:
             return
         if self.mode == MODE_CENTRALIZED:
             if node.attrs is not None:
-                record = self._sense(node_id, t, predictive=False)
+                record = self._sense(node_id, t)
                 self._send_up(node_id, qid, [record], MSG_REPLY, initial=msg.initial)
             return
         if desc.is_snapshot:
             if node.attrs is not None:
-                keep_newest(state.known, self._sense(node_id, t, predictive=False))
+                keep_newest(state.known, self._sense(node_id, t))
         else:
             self._sense_neighborhood(node_id, state, t)
         if msg.ttl > 0:
@@ -664,13 +669,13 @@ class QueryProtocol:
                 self._reflood(qid, t)
                 self._schedule_issuer_recompute(outcome, t)
         self._touch_holders_near(moved, t)
-        mine = _leg_floats(self.sim.nodes[moved].plan, t)
+        mine = self.sim.leg_entry(moved, t)
         # each other node's leg is read as its pair is certified
         self._certify(
             (moved, nid, mine, leg, t) if moved < nid else (nid, moved, leg, mine, t)
             for nid in sorted(self.sim.nodes)
             if nid != moved
-            for leg in (_leg_floats(self.sim.nodes[nid].plan, t),)
+            for leg in (self.sim.leg_entry(nid, t),)
         )
 
     def _touch_holders_near(self, moved: int, t: float) -> None:
@@ -720,7 +725,7 @@ class QueryProtocol:
                 and nid != outcome.descriptor.issuer
                 and node.attrs is not None
             ):
-                record = self._sense(nid, t, predictive=False)
+                record = self._sense(nid, t)
                 self._send_up(nid, qid, [record], MSG_UPDATE, initial=False)
         nxt = t + self.report_interval
         if nxt < outcome.descriptor.window[1]:

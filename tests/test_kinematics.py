@@ -274,8 +274,8 @@ def test_leg_change_times_within_window():
     assert plan.leg_change_times(changes[0], changes[1]) == [changes[1]]
 
 
-# The lookups resolve the leg in one body each; they must give the floats of
-# the composition through leg_index_at and Leg.position_at.
+# motion_state_at resolves the leg in its own body; the lookups must give the
+# floats of the composition through leg_index_at and Leg.position_at.
 
 def composed_position(plan, t):
     return plan.legs[plan.leg_index_at(t)].position_at(t)

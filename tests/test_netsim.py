@@ -2,6 +2,9 @@ import math
 import random
 from collections import Counter, deque
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rangeskyline.kinematics import WaypointPlan
 from rangeskyline.netsim import (
     BROADCAST,
@@ -282,6 +285,51 @@ def test_neighbor_tables_follow_moving_nodes_across_interleaved_instants():
     for i, j in zip(ids, ids[1:]):
         for node, t in ((i, t1), (j, t2), (i, t1), (j, t1), (i, t2)):
             assert sim.neighbors_of(node, t) == oracle(node, t), (node, t)
+
+
+def leg_table_world(seed):
+    """Two random-waypoint nodes and one stationary node (one leg up to inf)."""
+    rng = random.Random(seed)
+    plans = [
+        WaypointPlan(
+            (rng.uniform(0, 300), rng.uniform(0, 300)), (300.0, 300.0), (5.0, 15.0), 60.0, rng
+        )
+        for _ in range(2)
+    ]
+    plans.append(WaypointPlan((10.0, 20.0), (300.0, 300.0), (0.0, 0.0), 60.0, rng))
+    return {nid: plan for nid, plan in zip((4, 1, 9), plans)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_leg_table_equals_the_plan_lookups_at_any_order_of_instants(data):
+    plans = leg_table_world(data.draw(st.integers(0, 2**16), label="seed"))
+    nodes = [NodeRuntime(nid, plan, AttributeVector((1.0,))) for nid, plan in plans.items()]
+    r = 80.0
+    sim = Simulator(nodes, LinkModel(transmission_range=r), horizon=60.0)
+    # leg starts, 0.0, and instants past the final leg's end
+    edges = {0.0}
+    for plan in plans.values():
+        edges.update(leg.t_start for leg in plan.legs)
+        if math.isfinite(plan.legs[-1].t_end):
+            edges.update((plan.legs[-1].t_end, plan.legs[-1].t_end + 7.5))
+    instant = st.one_of(st.floats(0.0, 120.0), st.sampled_from(sorted(edges)))
+    steps = data.draw(st.lists(st.tuples(st.sampled_from(sorted(plans)), instant), min_size=1))
+    # replayed backward: every instant repeats, and earlier ones follow later ones
+    for nid, t in steps + steps[::-1]:
+        plan = plans[nid]
+        lo, hi, *_, leg = sim.leg_entry(nid, t)
+        assert lo <= t < hi
+        assert leg == plan.leg_at(t)
+        assert sim.position(nid, t) == plan.position_at(t)
+        x, y = plan.position_at(t)
+        assert sim.neighbors_of(nid, t) == [
+            j
+            for j in sorted(plans)
+            if j != nid
+            and (plans[j].position_at(t)[0] - x) ** 2 + (plans[j].position_at(t)[1] - y) ** 2
+            <= r * r
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,60 @@ def test_contact_at_a_leg_end_schedules_no_trigger():
         assert contact_triggers(sim) == expected
 
 
+def test_resensing_builds_a_record_only_for_a_new_leg(monkeypatch):
+    # node 1 has one leg [0, 5) and then holds still; node 2 turns at t = 3
+    # and keeps its next leg until t = 12
+    nodes = [
+        sensor(0, static_plan(0, 0), 0.5),
+        sensor(1, moving_plan(10, 0, (60.0, 0.0), 10.0, horizon=5.0), 0.2),
+        sensor(2, WaypointPlan((10.0, 10.0), AREA, (10.0, 10.0), 60.0, random.Random(0),
+                               waypoints=[(40.0, 10.0), (40.0, 100.0)], speeds=[10.0, 10.0]), 0.7),
+        query_node(3, static_plan(5, 5)),
+    ]
+    sim = Simulator(nodes, LinkModel(transmission_range=5000.0), horizon=60.0)
+    proto = QueryProtocol(sim)
+    state = SensorQueryState(descriptor=continuous_query(3, (1.0, 11.0)))
+    built = []
+
+    def counted(*args):
+        built.append(args[0])
+        return DataObject(*args)
+
+    monkeypatch.setattr(protocols, "DataObject", counted)
+
+    def sense(t):
+        built.clear()
+        before = dict(state.known)
+        proto._sense_neighborhood(0, state, t)
+        return before
+
+    sense(1.0)
+    assert sorted(built) == [0, 1, 2]
+    leg = nodes[1].plan.leg_at(1.0)
+    assert state.known[1].position is leg.origin and state.known[1].velocity is leg.velocity
+    assert state.known[1].observed_at == 0.0
+
+    before = sense(2.0)
+    assert built == []
+    assert all(state.known[nid] is before[nid] for nid in (0, 1, 2))
+
+    before = sense(4.0)
+    assert built == [2]
+    assert state.known[0] is before[0] and state.known[1] is before[1]
+    assert state.known[2].observed_at == 3.0
+    assert state.known[2].position is nodes[2].plan.leg_at(4.0).origin
+
+    before = sense(7.0)
+    assert built == [1]
+    held = state.known[1]
+    assert (held.position, held.velocity, held.observed_at) == ((60.0, 0.0), (0.0, 0.0), 5.0)
+    assert held.position == nodes[1].plan.position_at(7.0)
+
+    sense(8.0)
+    assert built == []
+    assert state.known[1] is held
+
+
 def contact_world(seed):
     """Twelve nodes on several random-waypoint legs each before t = 18."""
     rng = random.Random(seed)
