@@ -123,6 +123,16 @@ class Scenario:
                     f"{name}: pi * {name}^2 * node_count / area (nodes expected in range) "
                     "must be finite"
                 )
+        # distributed_ttl raises the floored density to each hop count up to
+        # ttl_cap; a float power raises OverflowError where that int would
+        r = self.transmission_range
+        try:
+            (math.pi * r * r * self.node_count / self.area) ** self.ttl_cap
+        except OverflowError:
+            raise ValueError(
+                "transmission_range: (pi * transmission_range^2 * node_count / area)^ttl_cap "
+                "(nodes expected within ttl_cap hops) must be finite"
+            ) from None
         self.directions()
 
     @property

@@ -284,6 +284,27 @@ def test_cli_rejects_invalid_scenario(tmp_path, line):
     assert line.split(" = ")[0] in proc.stderr
 
 
+# A static world on a tiny square: every density is finite, but the cost
+# model's flood powers are not.  Static, because a moving node on such a
+# square draws a leg count that grows like 1/side.
+TINY_STATIC_AREA = (
+    "node_count = 10\nspeed_min = 0\nspeed_max = 0\n"
+    "area_width = 1e-150\narea_height = 1e-150\n"
+)
+
+
+@pytest.mark.parametrize("command", ["run", "cost"])
+def test_cli_rejects_a_tiny_area_whose_flood_powers_overflow(tmp_path, command):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_STATIC_AREA)
+    proc = run_cli(command, "--preset", "scenario2", "--scenario", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: transmission_range: ")
+    assert "ttl_cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cli_sweep_rejects_nonpositive_reps(tmp_path):
     cfg = _mini_cfg(tmp_path)
     proc = run_cli(
