@@ -10,9 +10,7 @@ from rangeskyline.skyline import (
     AttributeVector,
     DataObject,
     QuerySnapshot,
-    dominates_wrt,
     merge_prune,
-    non_spatial_dominates,
     point_skyline,
     range_skyline,
 )
@@ -20,7 +18,6 @@ from rangeskyline.kinematics import (
     MotionState,
     SafeInterval,
     WaypointPlan,
-    monitoring_interval,
     position_at,
     safe_interval,
 )
@@ -34,10 +31,7 @@ __all__ = [
     "MotionState",
     "SafeInterval",
     "WaypointPlan",
-    "dominates_wrt",
     "merge_prune",
-    "monitoring_interval",
-    "non_spatial_dominates",
     "point_skyline",
     "position_at",
     "range_skyline",

@@ -238,7 +238,6 @@ class QueryMetrics:
 class RunResult:
     scenario: Scenario
     approach: str
-    seed: object
     queries: list[QueryMetrics]
     msgs_flood: int
     msgs_reply: int
@@ -312,10 +311,7 @@ def query_windows(scenario: Scenario, seed: object) -> list[tuple[float, float]]
 
 
 def world_horizon(scenario: Scenario, seed: object) -> float:
-    windows = query_windows(scenario, seed)
-    if not windows:
-        return scenario.sim_horizon
-    last_end = max(t_end for _, t_end in windows)
+    last_end = max(t_end for _, t_end in query_windows(scenario, seed))
     return max(scenario.sim_horizon, last_end + 1.0)
 
 
@@ -395,7 +391,6 @@ def run_scenario(scenario: Scenario, seed: object, approach: str) -> RunResult:
     return RunResult(
         scenario=scenario,
         approach=approach,
-        seed=seed,
         queries=queries,
         msgs_flood=sim.stats.sent.get(MSG_QUERY, 0),
         msgs_reply=sim.stats.sent.get(MSG_REPLY, 0),

@@ -49,24 +49,6 @@ class SafeInterval:
     enter: float
     leave: float
 
-    @staticmethod
-    def empty() -> SafeInterval:
-        return SafeInterval(INF, -INF)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.enter > self.leave
-
-    def contains(self, t: float) -> bool:
-        return self.enter <= t <= self.leave
-
-    def intersect(self, other: SafeInterval) -> SafeInterval:
-        enter = max(self.enter, other.enter)
-        leave = min(self.leave, other.leave)
-        if enter > leave:
-            return SafeInterval.empty()
-        return SafeInterval(enter, leave)
-
 
 def crossing_window(
     dpx: float, dpy: float, dvx: float, dvy: float, R: float, now: float
@@ -116,14 +98,6 @@ def safe_interval(
             R, now,
         )
     )
-
-
-def monitoring_interval(si: SafeInterval, window: tuple[float, float]) -> SafeInterval:
-    """Intersection of a safe interval with a monitoring window [t0, t_end]."""
-    t0, t_end = window
-    if t0 > t_end:
-        raise ValueError("window start exceeds window end")
-    return si.intersect(SafeInterval(t0, t_end))
 
 
 @dataclass(frozen=True)
@@ -201,10 +175,6 @@ class WaypointPlan:
             if not self.legs:
                 self.legs.append(Leg(0.0, INF, start, (0.0, 0.0)))
         self._starts = [leg.t_start for leg in self.legs]
-
-    def leg_index_at(self, t: float) -> int:
-        i = bisect_right(self._starts, t) - 1
-        return max(i, 0)
 
     def leg_at(self, t: float) -> Leg:
         return self.legs[max(bisect_right(self._starts, t) - 1, 0)]

@@ -148,24 +148,3 @@ def _instant_scores(got: frozenset, truth: frozenset) -> tuple[float, float]:
     recall = inter / len(truth) if truth else 1.0
     return precision, recall
 
-
-def divergence_intervals(
-    result: Timeline, oracle: Timeline, window: tuple[float, float]
-) -> list[tuple[float, float]]:
-    """Maximal sub-intervals of the window where the two timelines disagree."""
-    bad: Timeline = []
-    for a, b, got, truth in _elementary_intervals(result, oracle, window):
-        if got != truth:
-            extend_timeline(bad, frozenset(), a, b)
-    return [span for _, span in bad]
-
-
-def change_points(timeline: Timeline, window: tuple[float, float]) -> list[float]:
-    """Window start plus every instant the timeline's set changes."""
-    t0, t_end = window
-    pts = [t0]
-    ids = timeline_ids(timeline)
-    for _, (a, _b) in ids[1:]:
-        if t0 < a <= t_end:
-            pts.append(a)
-    return pts

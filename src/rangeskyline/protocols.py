@@ -301,8 +301,6 @@ class QueryOutcome:
     history: list[tuple[float, Timeline]] = field(default_factory=list)
     last_recompute: float = -INF
     recompute_scheduled: bool = False
-    # true when the collection ended with nothing received at all
-    low_confidence: bool = False
 
     def realized_timeline(self) -> Timeline:
         """What the issuer believed at each instant of the window."""
@@ -645,7 +643,6 @@ class QueryProtocol:
             return
         desc = outcome.descriptor
         outcome.response_time = t - outcome.issue_time
-        outcome.low_confidence = not outcome.known
         q = QuerySnapshot(position_at(desc.issuer_state, desc.window[0]), desc.range_R)
         outcome.final_snapshot = frozenset(merge_prune(q, [set(outcome.known.values())]))
 

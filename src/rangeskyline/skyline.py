@@ -87,19 +87,6 @@ def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def non_spatial_dominates(a: AttributeVector, b: AttributeVector) -> bool:
-    """True iff a is no worse than b in every attribute dimension.
-
-    Equal vectors satisfy this; strictness is resolved at the combined
-    (distance, attrs) level in skyline_rows.
-    """
-    if len(a.values) != len(b.values):
-        raise ValueError("attribute dimensionality mismatch")
-    if a.directions != b.directions:
-        raise ValueError("attribute direction mismatch")
-    return all(x <= y for x, y in zip(a.canonical(), b.canonical()))
-
-
 def skyline_rows(rows: Iterable[tuple[float, tuple[float, ...], T]]) -> list[T]:
     """Payloads of the undominated (distance, canonical attrs, payload) rows.
 
@@ -143,15 +130,6 @@ def point_skyline(q: QuerySnapshot, objs: Iterable[DataObject]) -> set[DataObjec
     return set(
         skyline_rows((distance(q.q_position, o.position), o.attrs.canonical(), o) for o in items)
     )
-
-
-def dominates_wrt(q: QuerySnapshot, a: DataObject, b: DataObject) -> bool:
-    """True iff a dominates b with respect to the query point q.
-
-    That is, b drops out of the skyline of the pair: a is no worse in all
-    attributes, no farther from q, and strictly better somewhere.
-    """
-    return b not in point_skyline(q, (a, b))
 
 
 def in_range(q: QuerySnapshot, obj: DataObject) -> bool:

@@ -41,7 +41,9 @@ from rangeskyline.harness import (
     sweep,
 )
 from rangeskyline.kinematics import INF, MotionState, position_at, safe_interval
-from rangeskyline.metrics import change_points, divergence_intervals, timeline_ids
+from rangeskyline.metrics import _elementary_intervals, timeline_ids
+from rangeskyline.protocols import extend_timeline
+from rangeskyline.skyline import DataObject, QuerySnapshot, point_skyline
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -194,6 +196,21 @@ def _excused_missing(node, seen_times, mid, window, step):
     return any(c > last_contact - step for c in changes)
 
 
+def divergence_intervals(result, oracle, window):
+    """Maximal sub-intervals of the window where the two timelines disagree."""
+    bad = []
+    for a, b, got, truth in _elementary_intervals(result, oracle, window):
+        if got != truth:
+            extend_timeline(bad, frozenset(), a, b)
+    return [span for _, span in bad]
+
+
+def change_points(timeline, window):
+    """Window start plus every instant the timeline's set changes."""
+    t0, t_end = window
+    return [t0] + [a for _, (a, _) in timeline_ids(timeline)[1:] if t0 < a <= t_end]
+
+
 def _beyond_allowance(q, window, allowance):
     start = window[0] + q.response_time_s + 1e-9
     bad = divergence_intervals(q.realized, q.oracle, (start, window[1]))
@@ -263,12 +280,10 @@ def test_criterion_2_continuous_soundness(continuous_soundness_runs):
 
 
 def _dominates_truly(d_node, e_node, issuer, t):
-    from rangeskyline.skyline import DataObject, QuerySnapshot, dominates_wrt
-
     q = QuerySnapshot(issuer.plan.position_at(t), 1.0e9)
     d_obj = DataObject(d_node.id, d_node.plan.position_at(t), (0.0, 0.0), d_node.attrs, t)
     e_obj = DataObject(e_node.id, e_node.plan.position_at(t), (0.0, 0.0), e_node.attrs, t)
-    return dominates_wrt(q, d_obj, e_obj)
+    return e_obj not in point_skyline(q, (d_obj, e_obj))
 
 
 @pytest.mark.xfail(
@@ -378,10 +393,10 @@ def test_criterion_6_safe_time_correctness():
         inside = dx * dx + dy * dy <= R * R
         idx = np.flatnonzero(inside)
         if idx.size == 0:
-            assert si.is_empty or si.enter > horizon - 2 * dt
+            assert si.enter > si.leave or si.enter > horizon - 2 * dt
             continue
         enter, leave = t_axis[idx[0]], t_axis[idx[-1]]
-        assert not si.is_empty
+        assert si.enter <= si.leave
         assert abs(si.enter - enter) <= 2e-3
         if idx[-1] == t_axis.size - 1:
             assert si.leave >= horizon - 2 * dt

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ from hypothesis import strategies as st
 from rangeskyline.kinematics import (
     INF,
     MotionState,
-    SafeInterval,
     WaypointPlan,
-    monitoring_interval,
     position_at,
     safe_interval,
 )
+from rangeskyline.protocols import QueryDescriptor
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +88,12 @@ def test_stationary_pair_inside_forever():
 
 def test_stationary_pair_outside_is_empty():
     si = safe_interval(ms(0, 0, 0, 0), ms(30, 40, 0, 0), 10.0, 0.0)
-    assert si.is_empty
+    assert si.enter > si.leave
 
 
 def test_receding_pair_never_in_range():
     si = safe_interval(ms(0, 0, 0, 0), ms(200, 0, 5, 0), 100.0, 0.0)
-    assert si.is_empty
+    assert si.enter > si.leave
 
 
 def test_object_in_range_gets_enter_now():
@@ -122,12 +122,12 @@ def test_safe_interval_matches_dense_sampling_oracle():
         si = safe_interval(q, s, R, 0.0)
         ref = sampled_interval(q, s, R, 0.0)
         if ref is None:
-            if not si.is_empty:
+            if si.enter <= si.leave:
                 # interval may lie entirely beyond the sampled horizon
                 assert si.enter > HORIZON - 2 * DT
             continue
         enter, leave, open_ended = ref
-        assert not si.is_empty
+        assert si.enter <= si.leave
         assert abs(si.enter - enter) <= 2e-3
         if open_ended:
             assert si.leave >= HORIZON - 2 * DT
@@ -146,7 +146,7 @@ def test_boundary_residual_tiny_at_endpoints():
                rng.uniform(-5, 5), rng.uniform(-5, 5))
         R = rng.uniform(10, 80)
         si = safe_interval(q, s, R, 0.0)
-        if si.is_empty or si.leave == INF:
+        if si.enter > si.leave or si.leave == INF:
             continue
         for t in (si.enter, si.leave):
             if t == 0.0:
@@ -182,34 +182,19 @@ def test_safe_interval_translation_invariant():
             R,
             0.0,
         )
-        assert base.is_empty == moved.is_empty
-        if not base.is_empty:
+        assert (base.enter > base.leave) == (moved.enter > moved.leave)
+        if base.enter <= base.leave:
             assert moved.enter == pytest.approx(base.enter, abs=1e-9, rel=1e-9)
             assert moved.leave == pytest.approx(base.leave, abs=1e-9, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# monitoring_interval
+# monitoring windows
 # ---------------------------------------------------------------------------
 
-def test_window_clips_safe_interval():
-    si = SafeInterval(1.0, 6.0)
-    clipped = monitoring_interval(si, (3.0, 10.0))
-    assert clipped == SafeInterval(3.0, 6.0)
-
-
-def test_empty_interval_stays_empty():
-    assert monitoring_interval(SafeInterval.empty(), (0.0, 10.0)).is_empty
-
-
-def test_unbounded_interval_clipped_to_window():
-    si = SafeInterval(0.0, INF)
-    assert monitoring_interval(si, (3.0, 10.0)) == SafeInterval(3.0, 10.0)
-
-
 def test_inverted_window_rejected():
-    with pytest.raises(ValueError):
-        monitoring_interval(SafeInterval(0.0, 1.0), (5.0, 2.0))
+    with pytest.raises(ValueError, match="window start exceeds window end"):
+        QueryDescriptor(1, 0, ms(0, 0, 0, 0), 10.0, (5.0, 2.0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +216,7 @@ def test_arrival_starts_next_leg():
     )
     state = plan.motion_state_at(5.0)
     assert state.position == pytest.approx((10.0, 0.0))
-    assert plan.leg_index_at(5.0) == 1
+    assert plan.leg_at(5.0) is plan.legs[1]
 
 
 def test_same_seed_same_trajectory():
@@ -275,14 +260,20 @@ def test_leg_change_times_within_window():
 
 
 # motion_state_at resolves the leg in its own body; the lookups must give the
-# floats of the composition through leg_index_at and Leg.position_at.
+# floats of the composition through a bisect on the leg starts and
+# Leg.position_at.
+
+def composed_leg(plan, t):
+    starts = [leg.t_start for leg in plan.legs]
+    return plan.legs[max(bisect_right(starts, t) - 1, 0)]
+
 
 def composed_position(plan, t):
-    return plan.legs[plan.leg_index_at(t)].position_at(t)
+    return composed_leg(plan, t).position_at(t)
 
 
 def composed_motion_state(plan, t):
-    leg = plan.legs[plan.leg_index_at(t)]
+    leg = composed_leg(plan, t)
     if t >= leg.t_end:
         return MotionState(leg.position_at(leg.t_end), (0.0, 0.0), t)
     return MotionState(leg.position_at(t), leg.velocity, t)
@@ -312,7 +303,7 @@ def plans_and_instants(draw):
 def test_plan_lookups_equal_the_leg_composition(case):
     plan, instants = case
     for t in instants:
-        assert plan.leg_at(t) is plan.legs[plan.leg_index_at(t)]
+        assert plan.leg_at(t) is composed_leg(plan, t)
         position = plan.position_at(t)
         state = plan.motion_state_at(t)
         assert position == composed_position(plan, t)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from rangeskyline.harness import build_world, scenario2
 from rangeskyline.kinematics import WaypointPlan
 from rangeskyline.metrics import (
-    change_points,
-    divergence_intervals,
     oracle_timeline,
     precision_recall,
     timeline_ids,
@@ -135,23 +133,6 @@ def test_oracle_self_consistency_on_random_world():
     acc = precision_recall(tl, tl, (3.0, 13.0))
     assert acc.precision == 1.0
     assert acc.recall == 1.0
-
-
-# ---------------------------------------------------------------------------
-# divergence helpers
-# ---------------------------------------------------------------------------
-
-def test_divergence_intervals_localize_disagreement():
-    res = [(frozenset({1}), (0.0, 4.0)), (frozenset({2}), (4.0, 10.0))]
-    orc = [(frozenset({1}), (0.0, 6.0)), (frozenset({2}), (6.0, 10.0))]
-    bad = divergence_intervals(res, orc, (0.0, 10.0))
-    assert len(bad) == 1
-    assert bad[0] == pytest.approx((4.0, 6.0))
-
-
-def test_change_points_include_window_start():
-    tl = [(frozenset({1}), (0.0, 4.0)), (frozenset(), (4.0, 10.0))]
-    assert change_points(tl, (0.0, 10.0)) == [0.0, 4.0]
 
 
 def test_timeline_ids_normalizes_objects():

@@ -9,9 +9,7 @@ from rangeskyline.skyline import (
     AttributeVector,
     DataObject,
     QuerySnapshot,
-    dominates_wrt,
     merge_prune,
-    non_spatial_dominates,
     point_skyline,
     range_skyline,
     skyline_rows,
@@ -56,6 +54,11 @@ def obj(oid, x, y, *values, observed_at=0.0):
     return DataObject(oid, (float(x), float(y)), (0.0, 0.0), attrs(*values), observed_at)
 
 
+def dominates(q, a, b):
+    """a dominates b w.r.t. q: b drops out of the skyline of the pair."""
+    return b not in point_skyline(q, (a, b))
+
+
 def random_objects(rng, n, dims=1, span=100.0):
     out = set()
     for i in range(n):
@@ -71,38 +74,43 @@ def random_objects(rng, n, dims=1, span=100.0):
 
 
 # ---------------------------------------------------------------------------
-# non_spatial_dominates
+# attribute comparison, at equal distance from the query point
 # ---------------------------------------------------------------------------
 
+Q = QuerySnapshot((0.0, 0.0), 10.0)
+
+
 def test_equal_vectors_are_no_worse():
-    assert non_spatial_dominates(attrs(1, 1), attrs(1, 1))
+    a, b = obj(1, 1, 0, 1, 1), obj(2, 0, 1, 1, 1)
+    assert point_skyline(Q, (a, b)) == {a, b}
 
 
 def test_better_in_all_dims_dominates():
-    assert non_spatial_dominates(attrs(1, 2), attrs(2, 3))
+    a, b = obj(1, 1, 0, 1, 2), obj(2, 0, 1, 2, 3)
+    assert point_skyline(Q, (a, b)) == {a}
 
 
 def test_incomparable_pair():
-    assert not non_spatial_dominates(attrs(1, 3), attrs(2, 2))
+    a, b = obj(1, 1, 0, 1, 3), obj(2, 0, 1, 2, 2)
+    assert point_skyline(Q, (a, b)) == {a, b}
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        non_spatial_dominates(attrs(1), attrs(1, 2))
+        point_skyline(Q, (obj(1, 1, 0, 1), obj(2, 0, 1, 1, 2)))
 
 
 def test_direction_mismatch_raises():
-    a = AttributeVector((1.0,), ("min",))
-    b = AttributeVector((1.0,), ("max",))
+    a = DataObject(1, (1.0, 0.0), (0.0, 0.0), AttributeVector((1.0,), ("min",)))
+    b = DataObject(2, (0.0, 1.0), (0.0, 0.0), AttributeVector((1.0,), ("max",)))
     with pytest.raises(ValueError):
-        non_spatial_dominates(a, b)
+        point_skyline(Q, (a, b))
 
 
 def test_maximize_direction_flips_comparison():
-    hi = AttributeVector((5.0,), ("max",))
-    lo = AttributeVector((1.0,), ("max",))
-    assert non_spatial_dominates(hi, lo)
-    assert not non_spatial_dominates(lo, hi)
+    hi = DataObject(1, (1.0, 0.0), (0.0, 0.0), AttributeVector((5.0,), ("max",)))
+    lo = DataObject(2, (0.0, 1.0), (0.0, 0.0), AttributeVector((1.0,), ("max",)))
+    assert point_skyline(Q, (hi, lo)) == {hi}
 
 
 def test_non_finite_values_rejected():
@@ -113,30 +121,30 @@ def test_non_finite_values_rejected():
 
 
 # ---------------------------------------------------------------------------
-# dominates_wrt
+# dominance w.r.t. the query point, checked against the oracle
 # ---------------------------------------------------------------------------
 
+def check_dominance(a, b, expected):
+    assert dominates(Q, a, b) == oracle_dominates(Q, a, b) == expected
+
+
 def test_closer_and_better_dominates():
-    q = QuerySnapshot((0.0, 0.0), 10.0)
-    assert dominates_wrt(q, obj(1, 1, 0, 1), obj(2, 2, 0, 2))
+    check_dominance(obj(1, 1, 0, 1), obj(2, 2, 0, 2), True)
 
 
 def test_equivalent_objects_do_not_dominate():
-    q = QuerySnapshot((0.0, 0.0), 10.0)
     a = obj(1, 1, 0, 3)
     b = obj(2, -1, 0, 3)  # same distance, same attrs
-    assert not dominates_wrt(q, a, b)
-    assert not dominates_wrt(q, b, a)
+    check_dominance(a, b, False)
+    check_dominance(b, a, False)
 
 
 def test_farther_object_never_dominates():
-    q = QuerySnapshot((0.0, 0.0), 10.0)
-    assert not dominates_wrt(q, obj(1, 3, 0, 1), obj(2, 2, 0, 2))
+    check_dominance(obj(1, 3, 0, 1), obj(2, 2, 0, 2), False)
 
 
 def test_equal_distance_better_attr_dominates():
-    q = QuerySnapshot((0.0, 0.0), 10.0)
-    assert dominates_wrt(q, obj(1, 2, 0, 1), obj(2, 0, 2, 2))
+    check_dominance(obj(1, 2, 0, 1), obj(2, 0, 2, 2), True)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +262,8 @@ def test_dominance_is_antisymmetric(raw):
         for b in objs:
             if a is b:
                 continue
-            assert not (dominates_wrt(q, a, b) and dominates_wrt(q, b, a))
+            assert dominates(q, a, b) == oracle_dominates(q, a, b)
+            assert not (dominates(q, a, b) and dominates(q, b, a))
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,8 +274,8 @@ def test_dominance_is_transitive(raw):
     for a in objs:
         for b in objs:
             for c in objs:
-                if dominates_wrt(q, a, b) and dominates_wrt(q, b, c):
-                    assert dominates_wrt(q, a, c)
+                if dominates(q, a, b) and dominates(q, b, c):
+                    assert dominates(q, a, c)
 
 
 @settings(max_examples=150, deadline=None)
