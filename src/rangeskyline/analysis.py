@@ -92,12 +92,24 @@ class CostParams:
         return out
 
 
-def query_spread_cost(params: CostParams, k: int) -> float:
-    """Expected deliveries when the query floods k hop levels."""
+def _hop_sum(params: CostParams, k: int, term) -> float:
+    """Sum of term(n_r**i, i) over the hop levels i = 1..k.
+
+    n_r is the one-hop density.  A level whose term no float can hold is
+    rejected, naming k.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     n_r = params.neighbors_per_node
-    return sum(n_r**i * params.cumulative_prob(i) for i in range(1, k + 1))
+    try:
+        return sum(term(n_r**i, i) for i in range(1, k + 1))
+    except OverflowError:
+        raise ValueError(f"k: {k} hop levels overflow a float in the cost model") from None
+
+
+def query_spread_cost(params: CostParams, k: int) -> float:
+    """Expected deliveries when the query floods k hop levels."""
+    return _hop_sum(params, k, lambda n, i: n * params.cumulative_prob(i))
 
 
 def derive_ttl(params: CostParams, cap: int = 5) -> int:
@@ -113,29 +125,22 @@ def derive_ttl(params: CostParams, cap: int = 5) -> int:
 
 def response_cost_centralized(params: CostParams, k: int) -> float:
     """Expected reply transmissions when every reached node reports itself."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n_r = params.neighbors_per_node
-    return sum(n_r**i * i * params.cumulative_prob(i) for i in range(1, k + 1))
+    return _hop_sum(params, k, lambda n, i: n * i * params.cumulative_prob(i))
 
 
 def response_cost_drsq(
     params: CostParams, k: int, reply_prob_mode: str = REPLY_PROB_AS_PRINTED
 ) -> float:
     """Expected reply transmissions when nodes forward local skylines only."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n_r = params.neighbors_per_node
-    total = 0.0
-    for i in range(1, k + 1):
-        if reply_prob_mode == REPLY_PROB_AS_PRINTED:
-            prob = params.hop_prob(k - i)
-        elif reply_prob_mode == REPLY_PROB_CUMULATIVE:
-            prob = params.cumulative_prob(i)
-        else:
-            raise ValueError(f"unknown reply_prob_mode {reply_prob_mode!r}")
-        total += n_r**i * math.log(n_r**i) ** (params.d - 1) * prob
-    return total
+    if reply_prob_mode not in (REPLY_PROB_AS_PRINTED, REPLY_PROB_CUMULATIVE):
+        raise ValueError(f"unknown reply_prob_mode {reply_prob_mode!r}")
+    as_printed = reply_prob_mode == REPLY_PROB_AS_PRINTED
+
+    def term(n: int, i: int) -> float:
+        prob = params.hop_prob(k - i) if as_printed else params.cumulative_prob(i)
+        return n * math.log(n) ** (params.d - 1) * prob
+
+    return _hop_sum(params, k, term)
 
 
 def total_cost(params: CostParams, mode: str, k: int | None = None) -> float:
@@ -153,8 +158,8 @@ def total_cost(params: CostParams, mode: str, k: int | None = None) -> float:
             raise ValueError("report interval must be > 0")
         rounds = params.delta_t / params.report_interval
         return rounds * (spread + response_cost_centralized(params, hops))
-    if params.mean_safe_time <= 0:
-        raise ValueError("mean safe time must be > 0")
+    if not 0.0 < params.mean_safe_time < math.inf:
+        raise ValueError("mean safe time must be positive and finite")
     updates = params.delta_t / params.mean_safe_time
     return spread + updates * response_cost_drsq(params, hops)
 

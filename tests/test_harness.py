@@ -305,6 +305,26 @@ def test_cli_rejects_a_tiny_area_whose_flood_powers_overflow(tmp_path, command):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ("", ["--k", "600"], "error: k: 600 "),
+        (TINY_STATIC_AREA + "ttl_cap = 1\n", [], "error: k: "),
+        ("", ["--mean-safe-time", "nan"], "error: mean safe time"),
+        ("", ["--mean-safe-time", "inf"], "error: mean safe time"),
+    ],
+    ids=["k-600", "tiny-area-ttl-cap-1", "safe-time-nan", "safe-time-inf"],
+)
+def test_cli_cost_rejects_overflowing_hops_and_a_nonfinite_safe_time(
+    tmp_path, capsys, config, flags, message
+):
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text(config)
+    assert cli.main(["cost", "--preset", "scenario2", "--scenario", str(cfg), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(message) and out == ""
+
+
 def test_cli_sweep_rejects_nonpositive_reps(tmp_path):
     cfg = _mini_cfg(tmp_path)
     proc = run_cli(
