@@ -109,22 +109,15 @@ class Leg:
     origin: tuple[float, float]
     velocity: tuple[float, float]
 
-    def position_at(self, t: float) -> tuple[float, float]:
-        dt = min(t, self.t_end) - self.t_start
-        return (
-            self.origin[0] + self.velocity[0] * dt,
-            self.origin[1] + self.velocity[1] * dt,
-        )
-
 
 class WaypointPlan:
     """Random-waypoint trajectory: straight legs between uniform waypoints.
 
     Waypoints are drawn uniformly inside the area, speeds uniformly from the
     configured range, with zero pause time.  The whole trajectory up to the
-    horizon is fixed at construction from the seeded generator, so lookups are
-    pure and two plans with equal inputs are identical.  speed_max == 0 yields
-    a stationary plan.
+    horizon is fixed at construction from the seeded generator, so a lookup
+    answers by t alone and two plans with equal inputs are identical.
+    speed_max == 0 yields a stationary plan.
     """
 
     def __init__(
@@ -175,36 +168,42 @@ class WaypointPlan:
             if not self.legs:
                 self.legs.append(Leg(0.0, INF, start, (0.0, 0.0)))
         self._starts = [leg.t_start for leg in self.legs]
+        # the leg last read (see leg_entry); an empty span until the first read
+        self.entry: tuple = (INF, -INF)
+        self.leg_entry(0.0)
 
-    def leg_at(self, t: float) -> Leg:
-        return self.legs[max(bisect_right(self._starts, t) - 1, 0)]
+    def leg_entry(self, t: float) -> tuple:
+        """(lo, hi, t_start, t_end, x, y, vx, vy, leg): the leg at t, kept in entry.
 
-    def leg_span_at(self, t: float) -> tuple[float, float, Leg]:
-        """(lo, hi, leg): leg_at(t) and the span [lo, hi) of instants it is picked on.
-
-        The first leg also covers every instant before it, the last one
-        every instant after its start.
+        leg is the last one starting at or before t (else the first), with its
+        floats; [lo, hi) is the span of instants that pick it.  Inside the
+        span of entry a lookup is one tuple read (a kinetic certificate that
+        holds until the leg ends); any other instant bisects and replaces it.
         """
+        entry = self.entry
+        if entry[0] <= t < entry[1]:
+            return entry
         starts = self._starts
         i = max(bisect_right(starts, t) - 1, 0)
         lo = starts[i] if i > 0 else -INF
         hi = starts[i + 1] if i + 1 < len(starts) else INF
-        return lo, hi, self.legs[i]
+        leg = self.legs[i]
+        self.entry = entry = (lo, hi, leg.t_start, leg.t_end, *leg.origin, *leg.velocity, leg)
+        return entry
 
     def position_at(self, t: float) -> tuple[float, float]:
-        return self.leg_at(t).position_at(t)
+        _, _, t_start, t_end, x, y, vx, vy, _ = self.leg_entry(t)
+        dt = min(t, t_end) - t_start
+        return (x + vx * dt, y + vy * dt)
 
     def motion_state_at(self, t: float) -> MotionState:
-        # resolves the leg in its own body: the oracle calls it for every
-        # node at every epoch
-        leg = self.legs[max(bisect_right(self._starts, t) - 1, 0)]
-        dt = min(t, leg.t_end) - leg.t_start
-        o, v = leg.origin, leg.velocity
-        position = (o[0] + v[0] * dt, o[1] + v[1] * dt)
-        if t >= leg.t_end:
+        _, _, t_start, t_end, x, y, vx, vy, leg = self.leg_entry(t)
+        dt = min(t, t_end) - t_start
+        position = (x + vx * dt, y + vy * dt)
+        if t >= t_end:
             # past the final generated leg: hold position
             return MotionState(position, (0.0, 0.0), t)
-        return MotionState(position, v, t)
+        return MotionState(position, leg.velocity, t)
 
     def leg_change_times(self, t0: float, t1: float) -> list[float]:
         """Interior leg-boundary instants within (t0, t1]."""

@@ -210,13 +210,9 @@ class Simulator:
         self.on_collection_complete: Callable[[int, float], None] | None = None
         self.on_message: Callable[[int, Message, float], None] | None = None
         self._range2 = link.transmission_range**2
-        # The leg table: per node, in id order, the leg last read (see
-        # leg_entry).  Plans are immutable and the node set is fixed, so an
-        # entry stays valid for every instant of its span.
-        self._legs: dict[int, tuple] = {}
-        for nid in sorted(self.nodes):
-            self._reread(nid, 0.0)
-        self._slot = {nid: i for i, nid in enumerate(self._legs)}
+        # (id, plan) in id order, and each id's place in it and in _snapshot
+        self._plans = [(nid, self.nodes[nid].plan) for nid in sorted(self.nodes)]
+        self._slot = {nid: i for i, (nid, _) in enumerate(self._plans)}
         self._snapshot_t: float | None = None
         self._snapshot: list[tuple[int, float, float]] = []
 
@@ -261,41 +257,16 @@ class Simulator:
 
     # -- geometry oracle ----------------------------------------------------
 
-    def leg_entry(self, node_id: int, t: float) -> tuple:
-        """(lo, hi, t_start, t_end, x, y, vx, vy, leg): the node's leg at t.
-
-        leg is plan.leg_at(t), with its start, end, origin and velocity as
-        floats; [lo, hi) is the span of instants on which leg_at picks it.
-        A lookup inside the span of the entry last read is one tuple read
-        (a kinetic certificate that holds until the leg ends); any other
-        instant, later or earlier, re-reads the plan and replaces the entry.
-        """
-        entry = self._legs[node_id]
-        if entry[0] <= t < entry[1]:
-            return entry
-        return self._reread(node_id, t)
-
-    def _reread(self, node_id: int, t: float) -> tuple:
-        lo, hi, leg = self.nodes[node_id].plan.leg_span_at(t)
-        entry = (lo, hi, leg.t_start, leg.t_end, *leg.origin, *leg.velocity, leg)
-        self._legs[node_id] = entry
-        return entry
-
-    def position(self, node_id: int, t: float) -> tuple[float, float]:
-        """The node's position at t: plan.position_at(t), read from the leg table."""
-        _, _, t_start, t_end, x, y, vx, vy, _ = self.leg_entry(node_id, t)
-        dt = min(t, t_end) - t_start
-        return (x + vx * dt, y + vy * dt)
-
     def neighbors_of(self, node_id: int, t: float) -> list[int]:
         """Ascending ids of all nodes within the transmission range (closed ball) at t."""
         if self._snapshot_t != t:
             # (id, x, y) of every node, kept for the latest instant asked;
-            # _reread replaces a value, never a key, so the loop may call it
+            # plan.position_at(t), with the leg cursor read inline
             snapshot = []
-            for nid, (lo, hi, t_start, t_end, x, y, vx, vy, _) in self._legs.items():
+            for nid, plan in self._plans:
+                lo, hi, t_start, t_end, x, y, vx, vy, _ = plan.entry
                 if not lo <= t < hi:
-                    _, _, t_start, t_end, x, y, vx, vy, _ = self._reread(nid, t)
+                    _, _, t_start, t_end, x, y, vx, vy, _ = plan.leg_entry(t)
                 dt = min(t, t_end) - t_start
                 snapshot.append((nid, x + vx * dt, y + vy * dt))
             self._snapshot = snapshot
@@ -309,8 +280,8 @@ class Simulator:
         ]
 
     def in_contact(self, a: int, b: int, t: float) -> bool:
-        ax, ay = self.position(a, t)
-        bx, by = self.position(b, t)
+        ax, ay = self.nodes[a].plan.position_at(t)
+        bx, by = self.nodes[b].plan.position_at(t)
         return (ax - bx) ** 2 + (ay - by) ** 2 <= self._range2
 
     # -- transmission -------------------------------------------------------

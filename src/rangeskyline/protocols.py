@@ -219,7 +219,7 @@ def predict_timeline(
 
 
 def _contact_enter(la: tuple, lb: tuple, t: float, R: float) -> float:
-    """When the nodes on legs la and lb (Simulator.leg_entry) come within R.
+    """When the nodes on legs la and lb (WaypointPlan.leg_entry) come within R.
 
     Certified at t, an instant on both legs: the crossing is kept only when
     t < enter < the earlier leg end, and is +inf otherwise.  Legs cover
@@ -382,7 +382,7 @@ class QueryProtocol:
         float whenever the certification runs.
         """
         ids = sorted(self.sim.nodes)
-        legs = [self.sim.leg_entry(nid, self.sim.clock) for nid in ids]
+        legs = [self.sim.nodes[nid].plan.leg_entry(self.sim.clock) for nid in ids]
         self._certify(
             (a, ids[j], la, legs[j], max(la[2], legs[j][2]))
             for i, (a, la) in enumerate(zip(ids, legs))
@@ -421,16 +421,17 @@ class QueryProtocol:
         sim = self.sim
         known = state.known
         for nid in [node_id] + sim.neighbors_of(node_id, t):
-            attrs = sim.nodes[nid].attrs
+            node = sim.nodes[nid]
+            attrs, plan = node.attrs, node.plan
             if attrs is None:
                 continue
-            _, _, t_start, t_end, _, _, _, _, leg = sim.leg_entry(nid, t)
+            _, _, t_start, t_end, _, _, _, _, leg = plan.leg_entry(t)
             stopped = t >= t_end
             kept = known.get(nid)
             if kept is not None and kept.observed_at >= (t_end if stopped else t_start):
                 continue
             if stopped:
-                record = DataObject(nid, leg.position_at(t_end), (0.0, 0.0), attrs, t_end)
+                record = DataObject(nid, plan.position_at(t_end), (0.0, 0.0), attrs, t_end)
             else:
                 record = DataObject(nid, leg.origin, leg.velocity, attrs, t_start)
             keep_newest(known, record)
@@ -666,13 +667,13 @@ class QueryProtocol:
                 self._reflood(qid, t)
                 self._schedule_issuer_recompute(outcome, t)
         self._touch_holders_near(moved, t)
-        mine = self.sim.leg_entry(moved, t)
+        mine = self.sim.nodes[moved].plan.leg_entry(t)
         # each other node's leg is read as its pair is certified
         self._certify(
             (moved, nid, mine, leg, t) if moved < nid else (nid, moved, leg, mine, t)
             for nid in sorted(self.sim.nodes)
             if nid != moved
-            for leg in (self.sim.leg_entry(nid, t),)
+            for leg in (self.sim.nodes[nid].plan.leg_entry(t),)
         )
 
     def _touch_holders_near(self, moved: int, t: float) -> None:

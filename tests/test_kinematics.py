@@ -216,7 +216,7 @@ def test_arrival_starts_next_leg():
     )
     state = plan.motion_state_at(5.0)
     assert state.position == pytest.approx((10.0, 0.0))
-    assert plan.leg_at(5.0) is plan.legs[1]
+    assert plan.leg_entry(5.0)[-1] is plan.legs[1]
 
 
 def test_same_seed_same_trajectory():
@@ -259,24 +259,29 @@ def test_leg_change_times_within_window():
     assert plan.leg_change_times(changes[0], changes[1]) == [changes[1]]
 
 
-# motion_state_at resolves the leg in its own body; the lookups must give the
-# floats of the composition through a bisect on the leg starts and
-# Leg.position_at.
+# The lookups read the plan's leg cursor; they must give the floats of the
+# composition through a fresh bisect on the leg starts and the clamped
+# extrapolation of that leg.
 
 def composed_leg(plan, t):
     starts = [leg.t_start for leg in plan.legs]
     return plan.legs[max(bisect_right(starts, t) - 1, 0)]
 
 
+def leg_position(leg, t):
+    dt = min(t, leg.t_end) - leg.t_start
+    return (leg.origin[0] + leg.velocity[0] * dt, leg.origin[1] + leg.velocity[1] * dt)
+
+
 def composed_position(plan, t):
-    return composed_leg(plan, t).position_at(t)
+    return leg_position(composed_leg(plan, t), t)
 
 
 def composed_motion_state(plan, t):
     leg = composed_leg(plan, t)
     if t >= leg.t_end:
-        return MotionState(leg.position_at(leg.t_end), (0.0, 0.0), t)
-    return MotionState(leg.position_at(t), leg.velocity, t)
+        return MotionState(leg_position(leg, leg.t_end), (0.0, 0.0), t)
+    return MotionState(leg_position(leg, t), leg.velocity, t)
 
 
 @st.composite
@@ -303,7 +308,7 @@ def plans_and_instants(draw):
 def test_plan_lookups_equal_the_leg_composition(case):
     plan, instants = case
     for t in instants:
-        assert plan.leg_at(t) is composed_leg(plan, t)
+        assert plan.leg_entry(t)[-1] is composed_leg(plan, t)
         position = plan.position_at(t)
         state = plan.motion_state_at(t)
         assert position == composed_position(plan, t)

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangeskyline.harness import build_world, scenario2
-from rangeskyline.kinematics import WaypointPlan
+from rangeskyline.harness import build_world, query_windows, scenario2, world_horizon
+from rangeskyline.kinematics import MotionState, WaypointPlan
 from rangeskyline.metrics import (
     oracle_timeline,
     precision_recall,
     timeline_ids,
     timeline_lookup,
 )
-from rangeskyline.netsim import NodeRuntime
+from rangeskyline.netsim import LinkModel, NodeRuntime, Simulator
+from rangeskyline.protocols import QueryDescriptor, QueryProtocol
 from rangeskyline.skyline import AttributeVector, DataObject, QuerySnapshot, range_skyline
 
 
@@ -69,6 +70,27 @@ def test_oracle_matches_dense_sampling_on_random_mobile_world():
             want = truth_at(nodes, issuer.id, scen.query_range, t)
             assert got == want, f"seed {seed} t {t}"
             t += 0.01
+
+
+def test_oracle_reads_plans_a_finished_simulator_left_at_later_instants():
+    # each plan's leg cursor sits where the run last read it; read again from
+    # the window start, or from 0, the plans give a fresh world's timeline
+    scen = replace(scenario2(), node_count=40)
+    for seed in ("golden:0", "golden:1"):
+        nodes = build_world(scen, seed)
+        (window,) = query_windows(scen, seed)
+        issuer = scen.node_count
+        link = LinkModel(transmission_range=scen.transmission_range)
+        sim = Simulator(nodes, link, horizon=world_horizon(scen, seed))
+        origin = MotionState((0.0, 0.0), (0.0, 0.0), window[0])
+        desc = QueryDescriptor(1, issuer, origin, scen.query_range, window, 3)
+        QueryProtocol(sim).issue(desc, window[0])
+        sim.run()
+        assert any(n.plan.entry[0] > window[0] for n in nodes)
+        for span in (window, (0.0, window[1])):
+            fresh = oracle_timeline(build_world(scen, seed), issuer, scen.query_range, span)
+            assert len(fresh) > 1
+            assert oracle_timeline(nodes, issuer, scen.query_range, span) == fresh, (seed, span)
 
 
 def test_oracle_covers_window_contiguously():

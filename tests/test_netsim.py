@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 from collections import Counter, deque
 
 from hypothesis import given, settings
@@ -287,7 +288,7 @@ def test_neighbor_tables_follow_moving_nodes_across_interleaved_instants():
             assert sim.neighbors_of(node, t) == oracle(node, t), (node, t)
 
 
-def leg_table_world(seed):
+def cursor_world(seed):
     """Two random-waypoint nodes and one stationary node (one leg up to inf)."""
     rng = random.Random(seed)
     plans = [
@@ -300,34 +301,55 @@ def leg_table_world(seed):
     return {nid: plan for nid, plan in zip((4, 1, 9), plans)}
 
 
+def fresh_leg(plan, t):
+    """Reference: the plan's leg at t from a bisect of its own, no cursor."""
+    starts = [leg.t_start for leg in plan.legs]
+    return plan.legs[max(bisect_right(starts, t) - 1, 0)]
+
+
+def fresh_position(plan, t):
+    leg = fresh_leg(plan, t)
+    dt = min(t, leg.t_end) - leg.t_start
+    return (leg.origin[0] + leg.velocity[0] * dt, leg.origin[1] + leg.velocity[1] * dt)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_leg_table_equals_the_plan_lookups_at_any_order_of_instants(data):
-    plans = leg_table_world(data.draw(st.integers(0, 2**16), label="seed"))
+def test_plan_cursor_equals_a_fresh_bisect_at_any_order_of_instants(data):
+    plans = cursor_world(data.draw(st.integers(0, 2**16), label="seed"))
     nodes = [NodeRuntime(nid, plan, AttributeVector((1.0,))) for nid, plan in plans.items()]
     r = 80.0
+    # the simulator's neighbour snapshots move the same cursors
     sim = Simulator(nodes, LinkModel(transmission_range=r), horizon=60.0)
-    # leg starts, 0.0, and instants past the final leg's end
-    edges = {0.0}
+    # leg starts, instants before the first leg, and past the final leg's end
+    edges = {0.0, -2.5}
     for plan in plans.values():
         edges.update(leg.t_start for leg in plan.legs)
         if math.isfinite(plan.legs[-1].t_end):
             edges.update((plan.legs[-1].t_end, plan.legs[-1].t_end + 7.5))
-    instant = st.one_of(st.floats(0.0, 120.0), st.sampled_from(sorted(edges)))
+    instant = st.one_of(st.floats(-10.0, 120.0), st.sampled_from(sorted(edges)))
     steps = data.draw(st.lists(st.tuples(st.sampled_from(sorted(plans)), instant), min_size=1))
     # replayed backward: every instant repeats, and earlier ones follow later ones
     for nid, t in steps + steps[::-1]:
         plan = plans[nid]
-        lo, hi, *_, leg = sim.leg_entry(nid, t)
+        leg = fresh_leg(plan, t)
+        entry = plan.leg_entry(t)
+        assert entry is plan.entry
+        lo, hi, t_start, t_end, x, y, vx, vy, got = entry
+        assert got is leg
+        assert (t_start, t_end, (x, y), (vx, vy)) == (leg.t_start, leg.t_end, leg.origin, leg.velocity)
+        # [lo, hi) is exactly the span of instants that pick this leg
         assert lo <= t < hi
-        assert leg == plan.leg_at(t)
-        assert sim.position(nid, t) == plan.position_at(t)
-        x, y = plan.position_at(t)
+        assert lo == -math.inf or fresh_leg(plan, lo) is leg
+        assert hi == math.inf or fresh_leg(plan, hi) is not leg
+        assert plan.position_at(t) == fresh_position(plan, t)
+        x, y = fresh_position(plan, t)
         assert sim.neighbors_of(nid, t) == [
             j
             for j in sorted(plans)
             if j != nid
-            and (plans[j].position_at(t)[0] - x) ** 2 + (plans[j].position_at(t)[1] - y) ** 2
+            and (fresh_position(plans[j], t)[0] - x) ** 2
+            + (fresh_position(plans[j], t)[1] - y) ** 2
             <= r * r
         ]
 

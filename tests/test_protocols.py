@@ -455,7 +455,7 @@ def test_resensing_builds_a_record_only_for_a_new_leg(monkeypatch):
 
     sense(1.0)
     assert sorted(built) == [0, 1, 2]
-    leg = nodes[1].plan.leg_at(1.0)
+    leg = nodes[1].plan.leg_entry(1.0)[-1]
     assert state.known[1].position is leg.origin and state.known[1].velocity is leg.velocity
     assert state.known[1].observed_at == 0.0
 
@@ -467,7 +467,7 @@ def test_resensing_builds_a_record_only_for_a_new_leg(monkeypatch):
     assert built == [2]
     assert state.known[0] is before[0] and state.known[1] is before[1]
     assert state.known[2].observed_at == 3.0
-    assert state.known[2].position is nodes[2].plan.leg_at(4.0).origin
+    assert state.known[2].position is nodes[2].plan.leg_entry(4.0)[-1].origin
 
     before = sense(7.0)
     assert built == [1]
@@ -515,7 +515,9 @@ def test_late_certification_schedules_the_triggers_of_one_from_time_zero():
         expected = pending_contacts(sim)
         # some due pair sits on legs that began after t = 0
         assert any(
-            sim.nodes[n].plan.leg_at(later).t_start > 0.0 for _, a, b in expected for n in (a, b)
+            sim.nodes[n].plan.leg_entry(later)[-1].t_start > 0.0
+            for _, a, b in expected
+            for n in (a, b)
         )
 
         fresh = Simulator(contact_world(seed), link, horizon=60.0)
@@ -526,13 +528,13 @@ def test_late_certification_schedules_the_triggers_of_one_from_time_zero():
         assert pending_contacts(fresh) == expected
 
 
-# Frozen copy of the per-pair certification as first written: leg_at, then
-# motion_state_at, then kinematics.safe_interval.  The certification reads
+# Frozen copy of the per-pair certification as first written: the leg at t,
+# then motion_state_at, then kinematics.safe_interval.  The certification reads
 # the two legs' floats instead and must schedule the same floats.
 
 def reference_pair_contact(sim, a, b, t, span_end):
     pa, pb = sim.nodes[a].plan, sim.nodes[b].plan
-    leg_end = min(pa.leg_at(t).t_end, pb.leg_at(t).t_end)
+    leg_end = min(pa.leg_entry(t)[-1].t_end, pb.leg_entry(t)[-1].t_end)
     if min(leg_end, sim.horizon) <= t:
         return None
     si = safe_interval(
@@ -548,7 +550,7 @@ def reference_pair_contact(sim, a, b, t, span_end):
 def reference_contacts(sim, span_end):
     """(fire_at, a, b) of every trigger due at sim.clock, in scheduling order."""
     ids = sorted(sim.nodes)
-    start = {nid: sim.nodes[nid].plan.leg_at(sim.clock).t_start for nid in ids}
+    start = {nid: sim.nodes[nid].plan.leg_entry(sim.clock)[-1].t_start for nid in ids}
     out = []
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
@@ -694,7 +696,8 @@ def test_contact_triggers_fire_on_the_legs_they_were_computed_from(monkeypatch):
         assert fired_at[id(payload)] == fire_at
         for nid in (payload["a"], payload["b"]):
             plan = sim.nodes[nid].plan
-            assert plan.leg_at(fire_at) is plan.leg_at(t_sched), (nid, t_sched, fire_at)
+            leg = plan.leg_entry(fire_at)[-1]
+            assert leg is plan.leg_entry(t_sched)[-1], (nid, t_sched, fire_at)
 
 
 def test_predicted_segments_match_direct_skyline_at_samples():
