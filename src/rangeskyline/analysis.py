@@ -62,6 +62,8 @@ class CostParams:
         for p in self.hop_probs:
             if not 0.0 < p <= 1.0:
                 raise ValueError("hop probabilities must lie in (0, 1]")
+        if not 0.0 < self.mean_safe_time < math.inf:
+            raise ValueError("mean safe time must be positive and finite")
 
     @property
     def nodes_in_query_range(self) -> int:
@@ -158,8 +160,6 @@ def total_cost(params: CostParams, mode: str, k: int | None = None) -> float:
             raise ValueError("report interval must be > 0")
         rounds = params.delta_t / params.report_interval
         return rounds * (spread + response_cost_centralized(params, hops))
-    if not 0.0 < params.mean_safe_time < math.inf:
-        raise ValueError("mean safe time must be positive and finite")
     updates = params.delta_t / params.mean_safe_time
     return spread + updates * response_cost_drsq(params, hops)
 
@@ -183,4 +183,7 @@ def cost_table(params: CostParams, k: int | None = None) -> list[tuple[str, floa
             ("total_continuous_centralized", total_cost(params, "continuous-centralized", hops))
         )
         rows.append(("total_continuous_dcrsq", total_cost(params, "continuous-dcrsq", hops)))
+    for name, value in rows:
+        if not math.isfinite(value):
+            raise ValueError(f"k: {hops} hop levels give a non-finite {name} in the cost model")
     return rows

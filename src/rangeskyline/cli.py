@@ -7,13 +7,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from rangeskyline.analysis import CostParams, cost_table
+from rangeskyline.analysis import cost_table
 from rangeskyline.harness import (
     CSV_HEADER,
     PRESETS,
     Scenario,
+    cost_params,
     csv_row,
     default_approaches,
+    distributed_ttl,
     parse_config,
     run_scenario,
     summarize,
@@ -71,18 +73,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_cost(args) -> int:
     scen = _load_scenario(args)
-    params = CostParams(
-        scen.node_count,
-        scen.area,
-        scen.query_range,
-        scen.transmission_range,
-        d=scen.attr_dims + 1,
-        hop_probs=(scen.delivery_prob,),
-        delta_t=scen.delta_t,
-        report_interval=scen.report_interval,
-        mean_safe_time=args.mean_safe_time,
-    )
-    rows = cost_table(params, k=args.k)
+    params = cost_params(scen, args.mean_safe_time)
+    rows = cost_table(params, k=distributed_ttl(scen) if args.k is None else args.k)
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         sys.stdout.write(f"{name:<{width}}  {value:.4f}\n")

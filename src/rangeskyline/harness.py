@@ -315,18 +315,25 @@ def world_horizon(scenario: Scenario, seed: object) -> float:
     return max(scenario.sim_horizon, last_end + 1.0)
 
 
-def distributed_ttl(scenario: Scenario) -> int:
-    """Flood depth from the spread-cost condition, capped; cap when sparse."""
-    params = CostParams(
+def cost_params(scenario: Scenario, mean_safe_time: float = 1.0) -> CostParams:
+    """The cost model's inputs for a scenario."""
+    return CostParams(
         scenario.node_count,
         scenario.area,
         scenario.query_range,
         scenario.transmission_range,
         d=scenario.attr_dims + 1,
         hop_probs=(scenario.delivery_prob,),
+        delta_t=scenario.delta_t,
+        report_interval=scenario.report_interval,
+        mean_safe_time=mean_safe_time,
     )
+
+
+def distributed_ttl(scenario: Scenario) -> int:
+    """Flood depth from the spread-cost condition, capped; cap when sparse."""
     try:
-        return derive_ttl(params, cap=scenario.ttl_cap)
+        return derive_ttl(cost_params(scenario), cap=scenario.ttl_cap)
     except ValueError:
         return scenario.ttl_cap
 

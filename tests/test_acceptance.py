@@ -13,11 +13,13 @@ trajectories, no protocol code) must prove any excused object unreachable.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 from statistics import fmean
 
 import numpy as np
@@ -461,6 +463,15 @@ def test_criterion_7_cost_model_checks():
 # criterion 8: byte-identical reruns
 # ---------------------------------------------------------------------------
 
+# The child does not inherit pytest's pythonpath: it imports the package
+# from this checkout's src, put first on its PYTHONPATH.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
+
+
 def test_criterion_8_determinism(tmp_path):
     cfg = tmp_path / "mini.cfg"
     cfg.write_text("node_count = 30\n")
@@ -477,6 +488,7 @@ def test_criterion_8_determinism(tmp_path):
             capture_output=True,
             text=True,
             timeout=300,
+            env=CLI_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         payloads.append((out.read_bytes(), trace.read_bytes()))

@@ -169,8 +169,8 @@ def test_nonpositive_intervals_rejected():
     p = params_with_density(5, 4, delta_t=10.0, report_interval=0.0)
     with pytest.raises(ValueError):
         total_cost(p, "continuous-centralized", 2)
-    p2 = params_with_density(5, 4, delta_t=10.0, mean_safe_time=-1.0)
     with pytest.raises(ValueError):
+        p2 = params_with_density(5, 4, delta_t=10.0, mean_safe_time=-1.0)
         total_cost(p2, "continuous-dcrsq", 2)
 
 

@@ -1,7 +1,9 @@
 import hashlib
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -177,12 +179,22 @@ def test_summarize_means_match_rows():
 # command-line interface
 # ---------------------------------------------------------------------------
 
+# The child does not inherit pytest's pythonpath: it imports the package
+# from this checkout's src, put first on its PYTHONPATH.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "rangeskyline.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=CLI_ENV,
     )
 
 
@@ -305,24 +317,46 @@ def test_cli_rejects_a_tiny_area_whose_flood_powers_overflow(tmp_path, command):
     assert proc.stdout == ""
 
 
+def safe_time_case(preset, value):
+    prefix = "" if preset == "scenario2" else f"{preset}-"
+    return pytest.param(
+        preset, "", ["--mean-safe-time", value], "error: mean safe time",
+        id=f"{prefix}safe-time-{value}",
+    )
+
+
 @pytest.mark.parametrize(
-    "config, flags, message",
+    "preset, config, flags, message",
     [
-        ("", ["--k", "600"], "error: k: 600 "),
-        (TINY_STATIC_AREA + "ttl_cap = 1\n", [], "error: k: "),
-        ("", ["--mean-safe-time", "nan"], "error: mean safe time"),
-        ("", ["--mean-safe-time", "inf"], "error: mean safe time"),
+        pytest.param("scenario2", "", ["--k", "600"], "error: k: 600 ", id="k-600"),
+        pytest.param(
+            "scenario2", TINY_STATIC_AREA + "ttl_cap = 1\n", [], "error: k: ",
+            id="tiny-area-ttl-cap-1",
+        ),
+        *(safe_time_case("scenario2", value) for value in ("nan", "inf")),
+        # a snapshot scenario has no continuous row that reads the safe time
+        *(safe_time_case("scenario1", value) for value in ("nan", "inf", "0", "-1")),
     ],
-    ids=["k-600", "tiny-area-ttl-cap-1", "safe-time-nan", "safe-time-inf"],
 )
 def test_cli_cost_rejects_overflowing_hops_and_a_nonfinite_safe_time(
-    tmp_path, capsys, config, flags, message
+    tmp_path, capsys, preset, config, flags, message
 ):
     cfg = tmp_path / "extra.cfg"
     cfg.write_text(config)
-    assert cli.main(["cost", "--preset", "scenario2", "--scenario", str(cfg), *flags]) == 2
+    assert cli.main(["cost", "--preset", preset, "--scenario", str(cfg), *flags]) == 2
     out, err = capsys.readouterr()
     assert err.startswith(message) and out == ""
+
+
+def test_cli_cost_takes_its_ttl_from_the_scenario(tmp_path, capsys):
+    # the flood depth of the simulation, capped by the scenario's ttl_cap
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("ttl_cap = 1\n")
+    scen = parse_config(cfg.read_text(), base=scenario1())
+    assert distributed_ttl(scen) == 1
+    assert cli.main(["cost", "--preset", "scenario1", "--scenario", str(cfg)]) == 0
+    out, _ = capsys.readouterr()
+    assert ["ttl", "1.0000"] in [line.split() for line in out.splitlines()]
 
 
 def test_cli_sweep_rejects_nonpositive_reps(tmp_path):
