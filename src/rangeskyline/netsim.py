@@ -260,8 +260,8 @@ class Simulator:
     def neighbors_of(self, node_id: int, t: float) -> list[int]:
         """Ascending ids of all nodes within the transmission range (closed ball) at t."""
         if self._snapshot_t != t:
-            # (id, x, y) of every node, kept for the latest instant asked;
-            # plan.position_at(t), with the leg cursor read inline
+            # (id, x, y) of every node, kept for the latest instant asked:
+            # plan.position_at(t) inlined, so no call per node
             snapshot = []
             for nid, plan in self._plans:
                 lo, hi, t_start, t_end, x, y, vx, vy, _ = plan.entry

@@ -337,19 +337,21 @@ def test_plan_cursor_equals_a_fresh_bisect_at_any_order_of_instants(data):
         assert entry is plan.entry
         lo, hi, t_start, t_end, x, y, vx, vy, got = entry
         assert got is leg
-        assert (t_start, t_end, (x, y), (vx, vy)) == (leg.t_start, leg.t_end, leg.origin, leg.velocity)
+        assert (t_start, t_end, (x, y), (vx, vy)) == (
+            leg.t_start, leg.t_end, leg.origin, leg.velocity
+        )
         # [lo, hi) is exactly the span of instants that pick this leg
         assert lo <= t < hi
         assert lo == -math.inf or fresh_leg(plan, lo) is leg
         assert hi == math.inf or fresh_leg(plan, hi) is not leg
         assert plan.position_at(t) == fresh_position(plan, t)
-        x, y = fresh_position(plan, t)
+        mx, my = fresh_position(plan, t)
         assert sim.neighbors_of(nid, t) == [
             j
             for j in sorted(plans)
             if j != nid
-            and (fresh_position(plans[j], t)[0] - x) ** 2
-            + (fresh_position(plans[j], t)[1] - y) ** 2
+            and (fresh_position(plans[j], t)[0] - mx) ** 2
+            + (fresh_position(plans[j], t)[1] - my) ** 2
             <= r * r
         ]
 
