@@ -16,19 +16,26 @@ issuer recompute got its own event kind: the scenario2 and scenario2-dense
 traces lost 101 and 95 waypoint-arrival lines outside the query span, and
 57 and 110 recompute lines changed from safe-time-trigger to
 issuer-recompute with the query id filled in; no other line changed.  A
-change that is meant to alter results must regenerate them and say why:
+change that is meant to alter results must regenerate them and say why.
+The cost digests cover the `rangeskyline cost` table of each preset, with
+the TTL taken from the scenario and with `--k 3 --mean-safe-time 4`; they
+were taken before the cost model's duplicated rules were merged.  To
+regenerate:
 
     PYTHONPATH=src python tests/test_golden.py
 
 prints the current digests of the grid in the form of the tables below.
 """
 
+import contextlib
 import functools
 import hashlib
+import io
 from dataclasses import replace
 
 import pytest
 
+from rangeskyline import cli
 from rangeskyline.harness import csv_row, default_approaches, run_scenario, scenario1, scenario2
 
 SEEDS = tuple(f"golden:{k}" for k in range(3))
@@ -52,6 +59,20 @@ GOLDEN_TRACE = {
     "scenario1-3d": "28ad681415c2bb660026ae33bed88317e116611e1fef76d16e313cb284de0675",
     "scenario2": "fba4ae18f10e8645d9561190717177b3de600d3e36df5b327f782a0826bc94db",
     "scenario2-dense": "856070d4773074b0bcd60ba2e7060f1f51f095ac39c82bdeca9bc7635615a248",
+}
+
+COST_FLAGS = {
+    "scenario1": ("--preset", "scenario1"),
+    "scenario1-k3": ("--preset", "scenario1", "--k", "3", "--mean-safe-time", "4"),
+    "scenario2": ("--preset", "scenario2"),
+    "scenario2-k3": ("--preset", "scenario2", "--k", "3", "--mean-safe-time", "4"),
+}
+
+GOLDEN_COST = {
+    "scenario1": "a607d2768d6ebdc2febbebd4ca53f40f818df4a296af301f9222945b0117e5cb",
+    "scenario1-k3": "7e26c2f7d57c11e5958035c7847fff5650c0663bc146bf794bb722f731d6a010",
+    "scenario2": "93ded4c3231f526d1a8a34be2af4542fc26fa24be40d8bec6821b0daa2254bb1",
+    "scenario2-k3": "45851dee527f54ecd7566d62a0de7b011c423f831153fa25420e43cda3662529",
 }
 
 
@@ -81,9 +102,26 @@ def test_event_traces_match_golden_digest(name):
     assert grid_digests(name)[1] == GOLDEN_TRACE[name]
 
 
+def cost_digest(name: str) -> str:
+    """sha256 of the `rangeskyline cost` table printed for COST_FLAGS[name]."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["cost", *COST_FLAGS[name]]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(COST_FLAGS))
+def test_cost_tables_match_golden_digest(name):
+    assert cost_digest(name) == GOLDEN_COST[name]
+
+
 if __name__ == "__main__":
     for table, column in (("GOLDEN", 0), ("GOLDEN_TRACE", 1)):
         print(f"{table} = {{")
         for name in sorted(GRID):
             print(f'    "{name}": "{grid_digests(name)[column]}",')
         print("}")
+    print("GOLDEN_COST = {")
+    for name in sorted(COST_FLAGS):
+        print(f'    "{name}": "{cost_digest(name)}",')
+    print("}")
