@@ -14,12 +14,6 @@ from dataclasses import dataclass
 
 SPREAD_MODES = ("snapshot-centralized", "snapshot-drsq", "continuous-centralized", "continuous-dcrsq")
 
-# Eq-as-printed indexing for the cooperative reply cost uses P[k-i]; the
-# cumulative variant multiplies the full per-hop product like the
-# centralized formula does.
-REPLY_PROB_AS_PRINTED = "as-printed"
-REPLY_PROB_CUMULATIVE = "cumulative"
-
 
 def density(n_nodes: int, area: float, radius: float) -> int:
     """Expected node count inside a disk of the given radius, floored."""
@@ -62,6 +56,8 @@ class CostParams:
         for p in self.hop_probs:
             if not 0.0 < p <= 1.0:
                 raise ValueError("hop probabilities must lie in (0, 1]")
+        if self.report_interval <= 0:
+            raise ValueError("report interval must be > 0")
         if not 0.0 < self.mean_safe_time < math.inf:
             raise ValueError("mean safe time must be positive and finite")
 
@@ -114,7 +110,7 @@ def query_spread_cost(params: CostParams, k: int) -> float:
     return _hop_sum(params, k, lambda n, i: n * params.cumulative_prob(i))
 
 
-def derive_ttl(params: CostParams, cap: int = 5) -> int:
+def derive_ttl(params: CostParams, cap: int) -> int:
     """Smallest hop count whose expected spread covers the query range."""
     target = params.nodes_in_query_range
     for k in range(1, cap + 1):
@@ -130,60 +126,53 @@ def response_cost_centralized(params: CostParams, k: int) -> float:
     return _hop_sum(params, k, lambda n, i: n * i * params.cumulative_prob(i))
 
 
-def response_cost_drsq(
-    params: CostParams, k: int, reply_prob_mode: str = REPLY_PROB_AS_PRINTED
-) -> float:
-    """Expected reply transmissions when nodes forward local skylines only."""
-    if reply_prob_mode not in (REPLY_PROB_AS_PRINTED, REPLY_PROB_CUMULATIVE):
-        raise ValueError(f"unknown reply_prob_mode {reply_prob_mode!r}")
-    as_printed = reply_prob_mode == REPLY_PROB_AS_PRINTED
+def response_cost_drsq(params: CostParams, k: int) -> float:
+    """Expected reply transmissions when nodes forward local skylines only.
 
-    def term(n: int, i: int) -> float:
-        prob = params.hop_prob(k - i) if as_printed else params.cumulative_prob(i)
-        return n * math.log(n) ** (params.d - 1) * prob
-
-    return _hop_sum(params, k, term)
+    Hop level i sends the expected skyline of its n_r**i nodes, weighted by
+    P[k-i] as the equation is printed (P_0 = 1), not by the cumulative
+    product of the centralized formula.
+    """
+    return _hop_sum(
+        params, k, lambda n, i: n * expected_skyline_size(n, params.d) * params.hop_prob(k - i)
+    )
 
 
-def total_cost(params: CostParams, mode: str, k: int | None = None) -> float:
+def total_cost(params: CostParams, mode: str, k: int) -> float:
     """Composed network cost for one query under the given approach."""
     if mode not in SPREAD_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    hops = derive_ttl(params) if k is None else k
-    spread = query_spread_cost(params, hops)
+    spread = query_spread_cost(params, k)
     if mode == "snapshot-centralized":
-        return spread + response_cost_centralized(params, hops)
+        return spread + response_cost_centralized(params, k)
     if mode == "snapshot-drsq":
-        return spread + response_cost_drsq(params, hops)
+        return spread + response_cost_drsq(params, k)
     if mode == "continuous-centralized":
-        if params.report_interval <= 0:
-            raise ValueError("report interval must be > 0")
         rounds = params.delta_t / params.report_interval
-        return rounds * (spread + response_cost_centralized(params, hops))
+        return rounds * (spread + response_cost_centralized(params, k))
     updates = params.delta_t / params.mean_safe_time
-    return spread + updates * response_cost_drsq(params, hops)
+    return spread + updates * response_cost_drsq(params, k)
 
 
-def cost_table(params: CostParams, k: int | None = None) -> list[tuple[str, float]]:
+def cost_table(params: CostParams, k: int) -> list[tuple[str, float]]:
     """All model quantities for one parameter set, for reporting."""
-    hops = derive_ttl(params) if k is None else k
     rows = [
         ("nodes_in_query_range", float(params.nodes_in_query_range)),
         ("neighbors_per_node", float(params.neighbors_per_node)),
         ("expected_skyline_size", expected_skyline_size(params.n_nodes, params.d)),
-        ("ttl", float(hops)),
-        ("spread", query_spread_cost(params, hops)),
-        ("reply_centralized", response_cost_centralized(params, hops)),
-        ("reply_drsq", response_cost_drsq(params, hops)),
-        ("total_snapshot_centralized", total_cost(params, "snapshot-centralized", hops)),
-        ("total_snapshot_drsq", total_cost(params, "snapshot-drsq", hops)),
+        ("ttl", float(k)),
+        ("spread", query_spread_cost(params, k)),
+        ("reply_centralized", response_cost_centralized(params, k)),
+        ("reply_drsq", response_cost_drsq(params, k)),
+        ("total_snapshot_centralized", total_cost(params, "snapshot-centralized", k)),
+        ("total_snapshot_drsq", total_cost(params, "snapshot-drsq", k)),
     ]
     if params.delta_t > 0:
         rows.append(
-            ("total_continuous_centralized", total_cost(params, "continuous-centralized", hops))
+            ("total_continuous_centralized", total_cost(params, "continuous-centralized", k))
         )
-        rows.append(("total_continuous_dcrsq", total_cost(params, "continuous-dcrsq", hops)))
+        rows.append(("total_continuous_dcrsq", total_cost(params, "continuous-dcrsq", k)))
     for name, value in rows:
         if not math.isfinite(value):
-            raise ValueError(f"k: {hops} hop levels give a non-finite {name} in the cost model")
+            raise ValueError(f"k: {k} hop levels give a non-finite {name} in the cost model")
     return rows

@@ -102,10 +102,7 @@ class Scenario:
             raise ValueError("delta_t must be >= 0")
         if self.query_range <= 0:
             raise ValueError("query_range must be > 0")
-        if self.transmission_range <= 0:
-            raise ValueError("transmission_range must be > 0")
-        if not 0.0 < self.delivery_prob <= 1.0:
-            raise ValueError("delivery_prob must lie in (0, 1]")
+        self.link()
         if self.attr_dims < 1:
             raise ValueError("attr_dims must be >= 1")
         if self.replications < 1:
@@ -134,6 +131,16 @@ class Scenario:
                 "(nodes expected within ttl_cap hops) must be finite"
             ) from None
         self.directions()
+
+    def link(self) -> LinkModel:
+        """The radio model of a run; it checks the five link fields."""
+        return LinkModel(
+            transmission_range=self.transmission_range,
+            delivery_prob=self.delivery_prob,
+            bandwidth_bps=self.bandwidth_bps,
+            packet_size_bits=self.packet_size_bits,
+            per_hop_latency=self.per_hop_latency,
+        )
 
     @property
     def area(self) -> float:
@@ -349,13 +356,7 @@ def run_scenario(scenario: Scenario, seed: object, approach: str) -> RunResult:
 
     nodes = build_world(scenario, seed)
     horizon = world_horizon(scenario, seed)
-    link = LinkModel(
-        transmission_range=scenario.transmission_range,
-        delivery_prob=scenario.delivery_prob,
-        bandwidth_bps=scenario.bandwidth_bps,
-        packet_size_bits=scenario.packet_size_bits,
-        per_hop_latency=scenario.per_hop_latency,
-    )
+    link = scenario.link()
     sim = Simulator(nodes, link, seed=seed, horizon=horizon)
     mode = MODE_CENTRALIZED if approach == "centralized" else MODE_DISTRIBUTED
     proto = QueryProtocol(sim, mode=mode, report_interval=scenario.report_interval)

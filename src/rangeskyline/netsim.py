@@ -56,9 +56,9 @@ class LinkModel:
 
     def __post_init__(self) -> None:
         if self.transmission_range <= 0:
-            raise ValueError("transmission range must be > 0")
+            raise ValueError("transmission_range must be > 0")
         if not 0.0 < self.delivery_prob <= 1.0:
-            raise ValueError("delivery probability must lie in (0, 1]")
+            raise ValueError("delivery_prob must lie in (0, 1]")
         if self.bandwidth_bps <= 0:
             raise ValueError("bandwidth_bps must be > 0")
         if self.packet_size_bits <= 0:

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from rangeskyline.analysis import (
-    REPLY_PROB_CUMULATIVE,
     CostParams,
     cost_table,
     density,
@@ -66,12 +65,12 @@ def test_spread_cost_branching_example():
 
 def test_ttl_two_hops_needed():
     p = params_with_density(11, 12)
-    assert derive_ttl(p) == 2
+    assert derive_ttl(p, cap=5) == 2
 
 
 def test_ttl_one_hop_suffices():
     p = params_with_density(11, 8)
-    assert derive_ttl(p) == 1
+    assert derive_ttl(p, cap=5) == 1
 
 
 def test_ttl_error_when_unreachable():
@@ -110,13 +109,6 @@ def test_drsq_reply_cost_single_dimension_drops_log_factor():
     assert response_cost_drsq(p, k) == pytest.approx(expected)
 
 
-def test_drsq_reply_cumulative_mode():
-    probs = (0.9, 0.8)
-    p = params_with_density(6, 10, probs=probs, d=1)
-    expected = 6 * 0.9 + 36 * 0.9 * 0.8
-    assert response_cost_drsq(p, 2, REPLY_PROB_CUMULATIVE) == pytest.approx(expected)
-
-
 def test_drsq_reply_below_centralized_when_log_factor_small():
     rng = random.Random(4)
     for _ in range(50):
@@ -124,7 +116,7 @@ def test_drsq_reply_below_centralized_when_log_factor_small():
         p = params_with_density(n_r, 5, d=2)
         k = rng.randint(1, 4)
         if all(math.log(n_r**i) ** (p.d - 1) < i for i in range(1, k + 1)):
-            drsq = response_cost_drsq(p, k, REPLY_PROB_CUMULATIVE)
+            drsq = response_cost_drsq(p, k)
             central = response_cost_centralized(p, k)
             assert drsq < central
 
@@ -166,8 +158,8 @@ def test_dcrsq_cheaper_than_periodic_centralized_on_grid():
 
 
 def test_nonpositive_intervals_rejected():
-    p = params_with_density(5, 4, delta_t=10.0, report_interval=0.0)
     with pytest.raises(ValueError):
+        p = params_with_density(5, 4, delta_t=10.0, report_interval=0.0)
         total_cost(p, "continuous-centralized", 2)
     with pytest.raises(ValueError):
         p2 = params_with_density(5, 4, delta_t=10.0, mean_safe_time=-1.0)
@@ -195,7 +187,7 @@ def test_costs_monotone_in_size_parameters():
 
 def test_cost_table_lists_all_quantities():
     p = params_with_density(5, 4, delta_t=10.0)
-    names = [name for name, _ in cost_table(p)]
+    names = [name for name, _ in cost_table(p, 1)]
     assert "spread" in names
     assert "total_continuous_dcrsq" in names
 

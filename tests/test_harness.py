@@ -348,6 +348,18 @@ def test_cli_cost_rejects_overflowing_hops_and_a_nonfinite_safe_time(
     assert err.startswith(message) and out == ""
 
 
+@pytest.mark.parametrize(
+    "line", ["bandwidth_bps = 0", "packet_size_bits = -5", "per_hop_latency = -1"]
+)
+def test_cli_cost_rejects_a_bad_link_field(tmp_path, capsys, line):
+    # the link fields are checked when the scenario is built, not by a run
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["cost", "--preset", "scenario1", "--scenario", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {line.split(' = ')[0]} ") and out == ""
+
+
 def test_cli_cost_takes_its_ttl_from_the_scenario(tmp_path, capsys):
     # the flood depth of the simulation, capped by the scenario's ttl_cap
     cfg = tmp_path / "cap.cfg"

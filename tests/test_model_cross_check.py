@@ -29,7 +29,7 @@ def test_centralized_cost_model_tracks_simulation_on_density_grid():
             n, scen.area, scen.query_range, scen.transmission_range,
             d=2, hop_probs=(1.0,),
         )
-        k = derive_ttl(params)
+        k = derive_ttl(params, cap=5)
         model = query_spread_cost(params, k) + response_cost_centralized(params, k)
         # flood with ttl = k - 1 reaches exactly k hop rings, the model's sum
         cell = replace(scen, ttl_centralized=k - 1)
