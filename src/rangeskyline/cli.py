@@ -74,7 +74,12 @@ def cmd_sweep(args) -> int:
 def cmd_cost(args) -> int:
     scen = _load_scenario(args)
     params = cost_params(scen, args.mean_safe_time)
-    rows = cost_table(params, k=distributed_ttl(scen) if args.k is None else args.k)
+    k = args.k
+    if k is None:
+        k = distributed_ttl(scen)
+        if k < 1:
+            raise ValueError("ttl_cap: a flood depth of 0 hops has no cost table; pass --k")
+    rows = cost_table(params, k)
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         sys.stdout.write(f"{name:<{width}}  {value:.4f}\n")

@@ -371,6 +371,16 @@ def test_cli_cost_takes_its_ttl_from_the_scenario(tmp_path, capsys):
     assert ["ttl", "1.0000"] in [line.split() for line in out.splitlines()]
 
 
+def test_cli_cost_names_ttl_cap_when_it_gives_no_hop(tmp_path, capsys):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("ttl_cap = 0\n")
+    args = ["cost", "--preset", "scenario1", "--scenario", str(cfg)]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ttl_cap: ") and "--k" in err and out == ""
+    assert cli.main([*args, "--k", "2"]) == 0
+
+
 def test_cli_sweep_rejects_nonpositive_reps(tmp_path):
     cfg = _mini_cfg(tmp_path)
     proc = run_cli(
