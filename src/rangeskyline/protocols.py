@@ -298,36 +298,37 @@ class QueryOutcome:
     accessed_objects: int = 0
     known: dict[int, DataObject] = field(default_factory=dict)
     final_snapshot: frozenset | None = None
-    history: list[tuple[float, Timeline]] = field(default_factory=list)
+    # what the issuer believed at each instant, as of its last recompute
+    realized: Timeline = field(default_factory=list)
     last_recompute: float = -INF
     recompute_scheduled: bool = False
+
+    def believe(self, t: float, timeline: Timeline) -> None:
+        """Make timeline, recomputed at t, the issuer's belief from t on.
+
+        timeline covers [max(t, t0), t_end].  The belief before t stays:
+        segments starting at or after t are dropped and the last one is cut
+        at t; before the first recompute the issuer believed the empty set.
+        Zero-length segments are not kept.
+        """
+        out = self.realized
+        while out and out[-1][1][0] >= t:
+            out.pop()
+        t0 = self.descriptor.window[0]
+        if out:
+            out[-1] = (out[-1][0], (out[-1][1][0], t))
+        elif t > t0:
+            out.append((frozenset(), (t0, t)))
+        for sky, (a, b) in timeline:
+            if b > a:
+                extend_timeline(out, sky, a, b)
 
     def realized_timeline(self) -> Timeline:
         """What the issuer believed at each instant of the window."""
         t0, t_end = self.descriptor.window
         if t0 == t_end:
             return [(self.final_snapshot or frozenset(), (t0, t_end))]
-        out: Timeline = []
-
-        def push(sky: frozenset, a: float, b: float) -> None:
-            if b > a:
-                extend_timeline(out, sky, a, b)
-
-        edits = [(t, tl) for t, tl in self.history if t <= t_end]
-        cursor = t0
-        for i, (t_known, tl) in enumerate(edits):
-            upper = edits[i + 1][0] if i + 1 < len(edits) else t_end
-            lower = max(t_known, t0)
-            if lower > cursor:
-                push(frozenset(), cursor, lower)
-                cursor = lower
-            for sky, (a, b) in tl:
-                a2, b2 = max(a, lower), min(b, upper)
-                push(sky, a2, b2)
-                cursor = max(cursor, b2)
-        if cursor < t_end:
-            push(out[-1][0] if out else frozenset(), cursor, t_end)
-        return out or [(frozenset(), (t0, t_end))]
+        return self.realized or [(frozenset(), (t0, t_end))]
 
 
 class QueryProtocol:
@@ -632,12 +633,12 @@ class QueryProtocol:
             # raw reported positions, no extrapolation
             q = QuerySnapshot(center.position, desc.range_R)
             sky = frozenset(merge_prune(q, [set(outcome.known.values())]))
-            outcome.history.append((t, [(sky, (max(t, t0), t_end))]))
+            outcome.believe(t, [(sky, (max(t, t0), t_end))])
             return
         timeline = predict_timeline(
             center, desc.range_R, list(outcome.known.values()), desc.window, t
         )
-        outcome.history.append((t, timeline))
+        outcome.believe(t, timeline)
 
     def _finalize_snapshot(self, outcome: QueryOutcome, t: float) -> None:
         if outcome.final_snapshot is not None:

@@ -32,6 +32,7 @@ from rangeskyline.protocols import (
     MODE_CENTRALIZED,
     MODE_DISTRIBUTED,
     QueryDescriptor,
+    QueryOutcome,
     QueryProtocol,
     SensorQueryState,
     extend_timeline,
@@ -394,6 +395,73 @@ def test_empty_collection_is_flagged_low_confidence():
     nodes2 = [query_node(0, static_plan(0, 0)), sensor(1, static_plan(40, 0), 1.0)]
     _, _, ok = run_query(nodes2, 0, R=80.0, ttl=1, mode=MODE_DISTRIBUTED, r=60.0)
     assert ok.accessed_objects > 0
+
+
+# ---------------------------------------------------------------------------
+# the issuer's belief
+# ---------------------------------------------------------------------------
+
+def replayed_timeline(window, history):
+    """The realized timeline replayed from the issuer's (instant, timeline) history.
+
+    A frozen copy of the replay that QueryOutcome.believe replaced: each
+    recomputed timeline holds from its instant until the next one.
+    """
+    t0, t_end = window
+    out = []
+
+    def push(sky, a, b):
+        if b > a:
+            extend_timeline(out, sky, a, b)
+
+    edits = [(t, tl) for t, tl in history if t <= t_end]
+    cursor = t0
+    for i, (t_known, tl) in enumerate(edits):
+        upper = edits[i + 1][0] if i + 1 < len(edits) else t_end
+        lower = max(t_known, t0)
+        if lower > cursor:
+            push(frozenset(), cursor, lower)
+            cursor = lower
+        for sky, (a, b) in tl:
+            a2, b2 = max(a, lower), min(b, upper)
+            push(sky, a2, b2)
+            cursor = max(cursor, b2)
+    if cursor < t_end:
+        push(out[-1][0] if out else frozenset(), cursor, t_end)
+    return out or [(frozenset(), (t0, t_end))]
+
+
+@st.composite
+def recompute_histories(draw):
+    """A window and the timelines its issuer recomputes, on a quarter-second grid.
+
+    On the grid, instants repeat and fall on t0, t_end and each other's cuts,
+    and repeated cuts give zero-length segments; sets come from a pool of
+    three, so neighbours repeat.  About half the timelines are the single
+    segment of a centralized recompute.
+    """
+    pool = (frozenset(), frozenset({1}), frozenset({1, 2}))
+    first = draw(st.integers(0, 4))
+    last = first + draw(st.integers(1, 16))
+    window = (first / 4, last / 4)
+    history = []
+    for k in sorted(draw(st.lists(st.integers(first, last), max_size=6))):
+        cuts = [] if draw(st.booleans()) else draw(st.lists(st.integers(k, last), max_size=5))
+        marks = [k / 4, *(c / 4 for c in sorted(cuts)), window[1]]
+        timeline = [(draw(st.sampled_from(pool)), seg) for seg in zip(marks, marks[1:])]
+        history.append((k / 4, timeline))
+    return window, history
+
+
+@settings(max_examples=500, deadline=None)
+@given(recompute_histories())
+def test_belief_equals_the_replay_of_the_recompute_history(case):
+    window, history = case
+    desc = QueryDescriptor(1, 0, MotionState((0.0, 0.0), (0.0, 0.0)), 10.0, window, ttl=1)
+    outcome = QueryOutcome(desc, window[0])
+    for t, timeline in history:
+        outcome.believe(t, timeline)
+    assert outcome.realized_timeline() == replayed_timeline(window, history)
 
 
 # ---------------------------------------------------------------------------
