@@ -134,9 +134,7 @@ class WaypointPlan:
         lo, hi = speed_range
         t = 0.0
         pos = start
-        if hi <= 0.0:
-            self.legs.append(Leg(0.0, INF, start, (0.0, 0.0)))
-        else:
+        if hi > 0.0:
             fixed_targets = list(waypoints) if waypoints else None
             fixed_speeds = list(speeds) if speeds else None
             idx = 0
@@ -165,8 +163,8 @@ class WaypointPlan:
                 self.legs.append(Leg(t, t + duration, pos, vel))
                 t += duration
                 pos = target
-            if not self.legs:
-                self.legs.append(Leg(0.0, INF, start, (0.0, 0.0)))
+        if not self.legs:
+            self.legs.append(Leg(0.0, INF, start, (0.0, 0.0)))
         self._starts = [leg.t_start for leg in self.legs]
         # the leg last read (see leg_entry); an empty span until the first read
         self.entry: tuple = (INF, -INF)
@@ -197,10 +195,9 @@ class WaypointPlan:
         return (x + vx * dt, y + vy * dt)
 
     def motion_state_at(self, t: float) -> MotionState:
-        _, _, t_start, t_end, x, y, vx, vy, leg = self.leg_entry(t)
-        dt = min(t, t_end) - t_start
-        position = (x + vx * dt, y + vy * dt)
-        if t >= t_end:
+        position = self.position_at(t)
+        leg = self.entry[8]  # position_at left the leg at t in entry
+        if t >= leg.t_end:
             # past the final generated leg: hold position
             return MotionState(position, (0.0, 0.0), t)
         return MotionState(position, leg.velocity, t)

@@ -153,7 +153,11 @@ def predict_timeline(
         return [(_skyline_at(center, range_R, [_carried(o) for o in objs], lo), (lo, hi))]
 
     cuts: set[float] = {lo, hi}
-    spans: list[tuple[DataObject, float, float]] = []
+    # Offset p and velocity v of each live candidate relative to the center
+    # at lo; their squared distance is |p|^2 + 2(p.v)t + |v|^2 t^2.
+    live: list[tuple[float, float, float, float, float, tuple]] = []
+    cx, cy = position_at(center, lo)
+    cvx, cvy = center.velocity
     for o in objs:
         si = safe_interval(center, o, range_R, lo)
         # clipped to the window, so leave <= hi
@@ -161,17 +165,8 @@ def predict_timeline(
         leave = min(si.leave, hi)
         if enter > leave:
             continue
-        spans.append((o, enter, leave))
         cuts.add(enter)
         cuts.add(leave)
-
-    # Offset p and velocity v of each live candidate relative to the center
-    # at lo; their squared distance is |p|^2 + 2(p.v)t + |v|^2 t^2.
-    live: list[tuple[float, float, float, float, float, tuple]] = []
-    if spans:
-        cx, cy = position_at(center, lo)
-        cvx, cvy = center.velocity
-    for o, enter, leave in spans:
         px = o.position[0] + o.velocity[0] * (lo - o.observed_at) - cx
         py = o.position[1] + o.velocity[1] * (lo - o.observed_at) - cy
         vx = o.velocity[0] - cvx
