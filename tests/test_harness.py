@@ -333,6 +333,11 @@ def safe_time_case(preset, value):
             "scenario2", TINY_STATIC_AREA + "ttl_cap = 1\n", [], "error: k: ",
             id="tiny-area-ttl-cap-1",
         ),
+        pytest.param(
+            "scenario1", "ttl_cap = 0\n", [],
+            "error: ttl_cap: a flood depth of 0 hops has no cost table; pass --k",
+            id="ttl-cap-0",
+        ),
         *(safe_time_case("scenario2", value) for value in ("nan", "inf")),
         # a snapshot scenario has no continuous row that reads the safe time
         *(safe_time_case("scenario1", value) for value in ("nan", "inf", "0", "-1")),
@@ -369,16 +374,6 @@ def test_cli_cost_takes_its_ttl_from_the_scenario(tmp_path, capsys):
     assert cli.main(["cost", "--preset", "scenario1", "--scenario", str(cfg)]) == 0
     out, _ = capsys.readouterr()
     assert ["ttl", "1.0000"] in [line.split() for line in out.splitlines()]
-
-
-def test_cli_cost_names_ttl_cap_when_it_gives_no_hop(tmp_path, capsys):
-    cfg = tmp_path / "cap.cfg"
-    cfg.write_text("ttl_cap = 0\n")
-    args = ["cost", "--preset", "scenario1", "--scenario", str(cfg)]
-    assert cli.main(args) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error: ttl_cap: ") and "--k" in err and out == ""
-    assert cli.main([*args, "--k", "2"]) == 0
 
 
 def test_cli_sweep_rejects_nonpositive_reps(tmp_path):
