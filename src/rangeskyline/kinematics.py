@@ -50,6 +50,19 @@ class SafeInterval:
     leave: float
 
 
+def quadratic_roots(a: float, b: float, c: float) -> tuple[float, float] | None:
+    """(-b - sq) / 2a and (-b + sq) / 2a, the roots of a*t^2 + b*t + c for a != 0.
+
+    sq is the root of the discriminant, so they ascend when a > 0.  None only
+    when it is negative: a double root (tangency, a grazing tie) comes twice.
+    """
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return None
+    sq = math.sqrt(disc)
+    return ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a))
+
+
 def crossing_window(
     dpx: float, dpy: float, dvx: float, dvy: float, R: float, now: float
 ) -> tuple[float, float]:
@@ -67,16 +80,10 @@ def crossing_window(
     if a == 0.0:
         # no relative motion: inside forever or never
         return (now, INF) if c <= 0.0 else (INF, -INF)
-
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
+    roots = quadratic_roots(a, b, c)
+    if roots is None or roots[1] < 0.0:
         return (INF, -INF)
-    sq = math.sqrt(disc)
-    t1 = (-b - sq) / (2.0 * a)
-    t2 = (-b + sq) / (2.0 * a)
-    if t2 < 0.0:
-        return (INF, -INF)
-    return (now + max(t1, 0.0), now + t2)
+    return (now + max(roots[0], 0.0), now + roots[1])
 
 
 def safe_interval(

@@ -30,6 +30,7 @@ from rangeskyline.kinematics import (
     MotionState,
     crossing_window,
     position_at,
+    quadratic_roots,
     safe_interval,
 )
 from rangeskyline.netsim import (
@@ -187,16 +188,12 @@ def predict_timeline(
             c2 = va2 - vb2
             c1 = 2.0 * (pva - pvb)
             c0 = p2a - p2b
-            if c2 == 0.0:
-                if c1 == 0.0:
-                    continue
-                roots: tuple[float, ...] = (-c0 / c1,)
+            if c2 != 0.0:
+                roots = quadratic_roots(c2, c1, c0) or ()
+            elif c1 != 0.0:
+                roots = (-c0 / c1,)
             else:
-                disc = c1 * c1 - 4.0 * c2 * c0
-                if not disc > 0.0:
-                    continue
-                sq = math.sqrt(disc)
-                roots = ((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2))
+                continue
             for r in roots:
                 if 0.0 < r < span:
                     t = lo + r
@@ -213,10 +210,11 @@ def predict_timeline(
     return out or [(frozenset(), (lo, hi))]
 
 
-def _contact_enter(la: tuple, lb: tuple, t: float, R: float) -> float:
+def _contact_enter(la: tuple, lb: tuple, R: float) -> float:
     """When the nodes on legs la and lb (WaypointPlan.leg_entry) come within R.
 
-    Certified at t, an instant on both legs: the crossing is kept only when
+    Certified at t, the later leg start, so it is the same float whenever it
+    runs and in either order of the legs: the crossing is kept only when
     t < enter < the earlier leg end, and is +inf otherwise.  Legs cover
     [t_start, t_end), so a trigger fires on the legs it was computed from
     and needs no leg stamp (a kinetic certificate).  The floats are those of
@@ -228,6 +226,7 @@ def _contact_enter(la: tuple, lb: tuple, t: float, R: float) -> float:
     """
     _, _, sa, ea, ax, ay, avx, avy, _ = la
     _, _, sb, eb, bx, by, bvx, bvy, _ = lb
+    t = max(sa, sb)
     leg_end = min(ea, eb)
     if leg_end <= t:
         return INF
@@ -292,7 +291,6 @@ class QueryOutcome:
     response_time: float | None = None
     accessed_objects: int = 0
     known: dict[int, DataObject] = field(default_factory=dict)
-    final_snapshot: frozenset | None = None
     # what the issuer believed at each instant, as of its last recompute
     realized: Timeline = field(default_factory=list)
     last_recompute: float = -INF
@@ -320,10 +318,7 @@ class QueryOutcome:
 
     def realized_timeline(self) -> Timeline:
         """What the issuer believed at each instant of the window."""
-        t0, t_end = self.descriptor.window
-        if t0 == t_end:
-            return [(self.final_snapshot or frozenset(), (t0, t_end))]
-        return self.realized or [(frozenset(), (t0, t_end))]
+        return self.realized or [(frozenset(), self.descriptor.window)]
 
 
 class QueryProtocol:
@@ -371,33 +366,26 @@ class QueryProtocol:
         )
 
     def schedule_contacts(self) -> None:
-        """Range-crossing triggers for all node pairs on their current legs.
-
-        A pair is certified from the later start of its two current legs, the
-        instant a waypoint certifies it, so each crossing time is the same
-        float whenever the certification runs.
-        """
+        """Range-crossing triggers for all node pairs on their current legs."""
         ids = sorted(self.sim.nodes)
-        legs = [self.sim.nodes[nid].plan.leg_entry(self.sim.clock) for nid in ids]
-        self._certify(
-            (a, ids[j], la, legs[j], max(la[2], legs[j][2]))
-            for i, (a, la) in enumerate(zip(ids, legs))
-            for j in range(i + 1, len(ids))
-        )
+        for i, a in enumerate(ids):
+            self._certify(a, ids[i + 1:])
 
-    def _certify(self, pairs) -> None:
-        """Contact trigger for each pair (a, b, leg of a, leg of b, t), a < b.
+    def _certify(self, a: int, others: list[int]) -> None:
+        """Contact trigger for a and each of others, in order, on their legs now.
 
         Only a crossing from the clock to the span end is scheduled (see
-        _contact_enter), in the order of pairs.
+        _contact_enter), with the lower id as "a".
         """
+        nodes = self.sim.nodes
         R = self.sim.link.transmission_range
         clock = self.sim.clock
         last = min(self._span_end, self.sim.horizon)
-        for a, b, la, lb, t in pairs:
-            enter = _contact_enter(la, lb, t, R)
+        la = nodes[a].plan.leg_entry(clock)
+        for b in others:
+            enter = _contact_enter(la, nodes[b].plan.leg_entry(clock), R)
             if clock <= enter <= last:
-                self.sim.schedule(enter, EVENT_SAFE_TIME, {"a": a, "b": b})
+                self.sim.schedule(enter, EVENT_SAFE_TIME, {"a": min(a, b), "b": max(a, b)})
 
     # -- sensing ---------------------------------------------------------------
 
@@ -626,8 +614,7 @@ class QueryProtocol:
         center = self.sim.nodes[desc.issuer].plan.motion_state_at(t)
         if self.mode == MODE_CENTRALIZED:
             # raw reported positions, no extrapolation
-            q = QuerySnapshot(center.position, desc.range_R)
-            sky = frozenset(merge_prune(q, [set(outcome.known.values())]))
+            sky = self._raw_skyline(outcome, center.position)
             outcome.believe(t, [(sky, (max(t, t0), t_end))])
             return
         timeline = predict_timeline(
@@ -635,22 +622,32 @@ class QueryProtocol:
         )
         outcome.believe(t, timeline)
 
-    def _finalize_snapshot(self, outcome: QueryOutcome, t: float) -> None:
-        if outcome.final_snapshot is not None:
-            return
-        desc = outcome.descriptor
-        outcome.response_time = t - outcome.issue_time
-        q = QuerySnapshot(position_at(desc.issuer_state, desc.window[0]), desc.range_R)
-        outcome.final_snapshot = frozenset(merge_prune(q, [set(outcome.known.values())]))
+    @staticmethod
+    def _raw_skyline(outcome: QueryOutcome, position: tuple[float, float]) -> frozenset:
+        """Range-skyline about position of the records as the issuer holds them."""
+        q = QuerySnapshot(position, outcome.descriptor.range_R)
+        return frozenset(merge_prune(q, [set(outcome.known.values())]))
 
-    def _on_collection_complete(self, qid: int, t: float) -> None:
-        outcome = self.outcomes[qid]
-        if outcome.descriptor.is_snapshot:
-            self._finalize_snapshot(outcome, t)
-            return
+    def _settle(self, outcome: QueryOutcome, t: float, again: bool = False) -> None:
+        """Answer when the initial collection completes or times out.
+
+        The first call stamps the response time.  A snapshot is answered once,
+        by one zero-length segment; a continuous query again when asked.
+        """
+        desc = outcome.descriptor
         if outcome.response_time is None:
             outcome.response_time = t - outcome.issue_time
-        self._issuer_recompute(outcome, t)
+        elif not again or desc.is_snapshot:
+            return
+        if desc.is_snapshot:
+            t0 = desc.window[0]
+            sky = self._raw_skyline(outcome, position_at(desc.issuer_state, t0))
+            outcome.realized = [(sky, (t0, t0))]
+        else:
+            self._issuer_recompute(outcome, t)
+
+    def _on_collection_complete(self, qid: int, t: float) -> None:
+        self._settle(self.outcomes[qid], t, again=True)
 
     # -- mobility, contacts, rounds ------------------------------------------------
 
@@ -663,14 +660,7 @@ class QueryProtocol:
                 self._reflood(qid, t)
                 self._schedule_issuer_recompute(outcome, t)
         self._touch_holders_near(moved, t)
-        mine = self.sim.nodes[moved].plan.leg_entry(t)
-        # each other node's leg is read as its pair is certified
-        self._certify(
-            (moved, nid, mine, leg, t) if moved < nid else (nid, moved, leg, mine, t)
-            for nid in sorted(self.sim.nodes)
-            if nid != moved
-            for leg in (self.sim.nodes[nid].plan.leg_entry(t),)
-        )
+        self._certify(moved, [nid for nid in sorted(self.sim.nodes) if nid != moved])
 
     def _touch_holders_near(self, moved: int, t: float) -> None:
         for nid in self.sim.neighbors_of(moved, t) + [moved]:
@@ -687,7 +677,7 @@ class QueryProtocol:
         a, b = payload["a"], payload["b"]
         self._piggyback(a, b, t)
         self._piggyback(b, a, t)
-        for nid in (min(a, b), max(a, b)):
+        for nid in (a, b):
             self._tick_held_queries(nid, t)
 
     def _piggyback(self, holder: int, learner: int, t: float) -> None:
@@ -729,11 +719,7 @@ class QueryProtocol:
         qid = payload["query_id"]
         outcome = self.outcomes[qid]
         if payload["reason"] == "timeout":
-            if outcome.descriptor.is_snapshot:
-                self._finalize_snapshot(outcome, t)
-            elif outcome.response_time is None:
-                outcome.response_time = t - outcome.issue_time
-                self._issuer_recompute(outcome, t)
+            self._settle(outcome, t)
             return
         for nid in sorted(self.sim.nodes):
             self.sim.nodes[nid].query_buffer.pop(qid, None)

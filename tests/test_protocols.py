@@ -118,8 +118,8 @@ def test_intermediate_merges_and_prunes_received_sets():
         sensor(11, static_plan(105, -5), 9.0),  # dominated by 4
     ]
     sim, proto, outcome = run_query(nodes, 0, R=120.0, ttl=1, mode=MODE_DISTRIBUTED, r=60.0)
-    assert outcome.final_snapshot is not None
-    assert {o.id for o in outcome.final_snapshot} == {4, 5}
+    assert outcome.realized
+    assert {o.id for o in outcome.realized_timeline()[0][0]} == {4, 5}
     # the relay forwarded exactly its two skyline members
     assert outcome.accessed_objects == 2
 
@@ -127,7 +127,7 @@ def test_intermediate_merges_and_prunes_received_sets():
 def test_end_node_with_no_neighbors_reports_itself():
     nodes = [query_node(0, static_plan(0, 0)), sensor(1, static_plan(40, 0), 5.0)]
     sim, proto, outcome = run_query(nodes, 0, R=80.0, ttl=0, mode=MODE_DISTRIBUTED, r=60.0)
-    assert {o.id for o in outcome.final_snapshot} == {1}
+    assert {o.id for o in outcome.realized_timeline()[0][0]} == {1}
 
 
 def test_dominated_self_is_excluded_from_reply():
@@ -155,7 +155,7 @@ def test_out_of_range_candidate_filtered_at_issuer():
         sensor(2, static_plan(100, 0), 0.5),  # outside R=80
     ]
     sim, proto, outcome = run_query(nodes, 0, R=80.0, ttl=1, mode=MODE_DISTRIBUTED, r=60.0)
-    assert {o.id for o in outcome.final_snapshot} == {1}
+    assert {o.id for o in outcome.realized_timeline()[0][0]} == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_distributed_snapshot_equals_oracle_on_random_static_worlds():
         nodes = random_static_world(rng, 30)
         sim, proto, outcome = run_query(nodes, 0, R=100.0, ttl=2, mode=MODE_DISTRIBUTED, r=90.0, seed=trial)
         expected = oracle_snapshot(nodes, 0, 100.0, 1.0)
-        assert {o.id for o in outcome.final_snapshot} == expected
+        assert {o.id for o in outcome.realized_timeline()[0][0]} == expected
 
 
 def test_centralized_snapshot_matches_distributed_and_oracle():
@@ -188,8 +188,8 @@ def test_centralized_snapshot_matches_distributed_and_oracle():
     nodes2 = random_static_world(random.Random(77), 25)
     sim_c, _, cent_out = run_query(nodes2, 0, R=100.0, ttl=5, mode=MODE_CENTRALIZED, r=90.0)
     expected = oracle_snapshot(nodes, 0, 100.0, 1.0)
-    assert {o.id for o in dist_out.final_snapshot} == expected
-    assert {o.id for o in cent_out.final_snapshot} == expected
+    assert {o.id for o in dist_out.realized_timeline()[0][0]} == expected
+    assert {o.id for o in cent_out.realized_timeline()[0][0]} == expected
 
 
 def test_distributed_sends_fewer_messages_than_centralized():
@@ -358,7 +358,7 @@ def test_same_seed_identical_protocol_trace():
 def test_unreached_region_yields_empty_result_without_crash():
     nodes = [query_node(0, static_plan(0, 0)), sensor(1, static_plan(500, 500), 1.0)]
     sim, proto, outcome = run_query(nodes, 0, R=80.0, ttl=2, mode=MODE_DISTRIBUTED, r=30.0)
-    assert outcome.final_snapshot == frozenset()
+    assert outcome.realized_timeline()[0][0] == frozenset()
 
 
 def test_local_pruning_never_discards_a_global_skyline_member():
@@ -391,7 +391,7 @@ def test_empty_collection_is_flagged_low_confidence():
     nodes = [query_node(0, static_plan(0, 0)), sensor(1, static_plan(500, 500), 1.0)]
     _, _, outcome = run_query(nodes, 0, R=80.0, ttl=2, mode=MODE_DISTRIBUTED, r=30.0)
     assert outcome.accessed_objects == 0 and not outcome.known
-    assert outcome.final_snapshot == frozenset()
+    assert outcome.realized_timeline()[0][0] == frozenset()
     nodes2 = [query_node(0, static_plan(0, 0)), sensor(1, static_plan(40, 0), 1.0)]
     _, _, ok = run_query(nodes2, 0, R=80.0, ttl=1, mode=MODE_DISTRIBUTED, r=60.0)
     assert ok.accessed_objects > 0
