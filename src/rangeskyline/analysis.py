@@ -65,14 +65,14 @@ class CostParams:
     def nodes_in_query_range(self) -> int:
         n = density(self.n_nodes, self.area, self.query_range)
         if n < 1:
-            raise ValueError("no nodes expected inside the query range")
+            raise ValueError("query_range: no nodes expected inside the query range")
         return n
 
     @property
     def neighbors_per_node(self) -> int:
         n = density(self.n_nodes, self.area, self.transmission_range)
         if n <= 1:
-            raise ValueError("node density too sparse for multi-hop routing")
+            raise ValueError("transmission_range: node density too sparse for multi-hop routing")
         return n
 
     def hop_prob(self, i: int) -> float:

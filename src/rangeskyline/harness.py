@@ -100,6 +100,11 @@ class Scenario:
             raise ValueError("ttl_centralized must be >= 0")
         if self.delta_t < 0:
             raise ValueError("delta_t must be >= 0")
+        if self.delta_t / self.report_interval > 1000:
+            raise ValueError(
+                "report_interval: delta_t / report_interval (report rounds per window) "
+                "must not exceed 1000"
+            )
         if self.query_range <= 0:
             raise ValueError("query_range must be > 0")
         self.link()
@@ -130,6 +135,16 @@ class Scenario:
                 "transmission_range: (pi * transmission_range^2 * node_count / area)^ttl_cap "
                 "(nodes expected within ttl_cap hops) must be finite"
             ) from None
+        # world_horizon is at most max(sim_horizon, 51 + delta_t), and a mean
+        # leg is at least a third of the longer side: this bounds the legs a
+        # node expects to finish before the horizon
+        legs = 3 * max(self.sim_horizon, 51 + self.delta_t) * self.speed_max / max(w, h)
+        if legs > 1000:
+            raise ValueError(
+                "area_width, area_height: 3 * max(sim_horizon, 51 + delta_t) * speed_max "
+                "/ max(area_width, area_height) (a bound on the legs per node) "
+                "must not exceed 1000"
+            )
         self.directions()
 
     def link(self) -> LinkModel:

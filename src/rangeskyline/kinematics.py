@@ -15,6 +15,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 INF = math.inf
+# A plan with more legs than this is rejected: its area is too small for its
+# speed and horizon (a leg lasts about side / speed).
+MAX_LEGS = 10_000
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,11 @@ class WaypointPlan:
                     (target[1] - pos[1]) / dist * speed,
                 )
                 self.legs.append(Leg(t, t + duration, pos, vel))
+                if len(self.legs) > MAX_LEGS:
+                    raise ValueError(
+                        f"more than {MAX_LEGS} waypoint legs before the horizon: "
+                        "the area is too small for the speed and horizon"
+                    )
                 t += duration
                 pos = target
         if not self.legs:

@@ -284,6 +284,8 @@ def test_cli_rejects_unreadable_scenario(tmp_path):
         "transmission_range = 1e200",
         "area_width = 1e300",
         "area_height = 1e300",
+        # 100,000 report rounds per ten-second window
+        "report_interval = 1e-4",
     ],
 )
 def test_cli_rejects_invalid_scenario(tmp_path, line):
@@ -317,6 +319,32 @@ def test_cli_rejects_a_tiny_area_whose_flood_powers_overflow(tmp_path, command):
     assert proc.stdout == ""
 
 
+# A moving world on a tiny square: a leg lasts about side / speed, so each
+# node would draw about 1e9 legs before the horizon.
+TINY_MOVING_AREA = "node_count = 10\narea_width = 1e-6\narea_height = 1e-6\n"
+
+
+@pytest.mark.parametrize("command", ["run", "cost"])
+def test_cli_rejects_a_tiny_area_with_too_many_legs(tmp_path, command):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_MOVING_AREA)
+    proc = run_cli(command, "--preset", "scenario2", "--scenario", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: area_width, area_height: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_the_leg_bound_holds_on_the_presets():
+    # the bound Scenario caps at 1000; each node's last leg runs past the
+    # horizon, hence the one leg more
+    for scen in (scenario1(), scenario2()):
+        w, h = scen.area_width, scen.area_height
+        bound = 3 * max(scen.sim_horizon, 51 + scen.delta_t) * scen.speed_max / max(w, h)
+        legs = [len(node.plan.legs) for node in build_world(scen, "legs:0")]
+        assert bound <= 4 and sum(legs) / len(legs) <= 1 + bound, (scen.name, bound)
+
+
 def safe_time_case(preset, value):
     prefix = "" if preset == "scenario2" else f"{preset}-"
     return pytest.param(
@@ -338,6 +366,15 @@ def safe_time_case(preset, value):
             "error: ttl_cap: a flood depth of 0 hops has no cost table; pass --k",
             id="ttl-cap-0",
         ),
+        # sparse scenarios: the message names the range the model cannot use
+        pytest.param(
+            "scenario1", "node_count = 10\n", [], "error: transmission_range: ",
+            id="sparse-transmission-range",
+        ),
+        pytest.param(
+            "scenario1", "query_range = 1\n", [], "error: query_range: ", id="tiny-query-range",
+        ),
+        pytest.param("scenario1", "node_count = 1\n", [], "error: query_range: ", id="one-node"),
         *(safe_time_case("scenario2", value) for value in ("nan", "inf")),
         # a snapshot scenario has no continuous row that reads the safe time
         *(safe_time_case("scenario1", value) for value in ("nan", "inf", "0", "-1")),

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from rangeskyline.kinematics import (
     INF,
+    MAX_LEGS,
     MotionState,
     WaypointPlan,
+    crossing_window,
     position_at,
+    quadratic_roots,
     safe_interval,
 )
 from rangeskyline.protocols import QueryDescriptor
@@ -189,6 +192,28 @@ def test_safe_interval_translation_invariant():
 
 
 # ---------------------------------------------------------------------------
+# the shared root rule
+# ---------------------------------------------------------------------------
+
+def test_quadratic_roots_is_none_only_for_a_negative_discriminant():
+    # t^2 - 20t + 100 = (t - 10)^2 and t^2 - 20t + 101 > 0
+    assert quadratic_roots(1.0, -20.0, 100.0) == (10.0, 10.0)
+    assert quadratic_roots(1.0, -20.0, 101.0) is None
+    assert quadratic_roots(2.0, -2.0, -4.0) == (-1.0, 2.0)
+    # descending for a < 0, as the tie cuts of predict_timeline use them
+    assert quadratic_roots(-2.0, 2.0, 4.0) == (2.0, -1.0)
+
+
+def test_grazing_pass_is_in_range_for_one_instant():
+    # the line y = 5 touches the circle of radius 5 at t = 10
+    assert crossing_window(-10.0, 5.0, 1.0, 0.0, 5.0, 0.0) == (10.0, 10.0)
+    si = safe_interval(ms(0, 0, 0, 0), ms(-10, 5, 1, 0), 5.0, 0.0)
+    assert si.enter == si.leave == 10.0
+    # a pass just outside the circle never enters it
+    assert crossing_window(-10.0, 5.5, 1.0, 0.0, 5.0, 0.0) == (INF, -INF)
+
+
+# ---------------------------------------------------------------------------
 # monitoring windows
 # ---------------------------------------------------------------------------
 
@@ -240,6 +265,12 @@ def test_positions_stay_inside_area():
             x, y = plan.position_at(t)
             assert -1e-9 <= x <= 80.0 + 1e-9
             assert -1e-9 <= y <= 60.0 + 1e-9
+
+
+def test_a_plan_past_the_leg_cap_is_rejected():
+    # a leg across a 1e-6 m square at 10 m/s lasts about 1e-7 s
+    with pytest.raises(ValueError, match=f"more than {MAX_LEGS} waypoint legs"):
+        WaypointPlan((0.0, 0.0), (1e-6, 1e-6), (10.0, 10.0), 60.0, random.Random(0))
 
 
 def test_zero_speed_plan_is_static():

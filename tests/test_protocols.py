@@ -261,6 +261,18 @@ def test_timeline_distance_flip_changes_skyline_mid_window():
     assert got == [({1, 2}, (0.0, 2.0)), ({1}, (2.0, 4.0))]
 
 
+def test_a_grazing_tie_at_a_segment_midpoint_does_not_decide_the_segment():
+    # b grazes the circle through a (radius 50) at t = 5, the window's
+    # midpoint: equally far there, b dominates a by its attribute, but at
+    # every other instant a is closer and both are in the skyline.  The
+    # double root is a cut, so the tie instant is no segment's midpoint.
+    center = MotionState((0.0, 0.0), (0.0, 0.0), 0.0)
+    a = carried(0, 50, 0, 0, 0, attr=1.0)
+    b = carried(1, -30, 50, 6, 0, attr=0.0)
+    tl = predict_timeline(center, 60.0, [a, b], (0.0, 10.0), 0.0)
+    assert _id_segments(tl) == [({0, 1}, (0.0, 10.0))]
+
+
 def test_snapshot_window_degenerates_to_range_skyline():
     center = MotionState((0.0, 0.0), (0.0, 0.0), 0.0)
     near = carried(1, 10, 0, 0, 0, attr=5.0)
