@@ -370,7 +370,8 @@ def test_same_seed_identical_protocol_trace():
 def test_unreached_region_yields_empty_result_without_crash():
     nodes = [query_node(0, static_plan(0, 0)), sensor(1, static_plan(500, 500), 1.0)]
     sim, proto, outcome = run_query(nodes, 0, R=80.0, ttl=2, mode=MODE_DISTRIBUTED, r=30.0)
-    assert outcome.realized_timeline()[0][0] == frozenset()
+    # settled at the timeout, empty
+    assert outcome.realized == [(frozenset(), (1.0, 1.0))]
 
 
 def test_local_pruning_never_discards_a_global_skyline_member():
@@ -403,7 +404,8 @@ def test_empty_collection_is_flagged_low_confidence():
     nodes = [query_node(0, static_plan(0, 0)), sensor(1, static_plan(500, 500), 1.0)]
     _, _, outcome = run_query(nodes, 0, R=80.0, ttl=2, mode=MODE_DISTRIBUTED, r=30.0)
     assert outcome.accessed_objects == 0 and not outcome.known
-    assert outcome.realized_timeline()[0][0] == frozenset()
+    # settled at the timeout, empty
+    assert outcome.realized == [(frozenset(), (1.0, 1.0))]
     nodes2 = [query_node(0, static_plan(0, 0)), sensor(1, static_plan(40, 0), 1.0)]
     _, _, ok = run_query(nodes2, 0, R=80.0, ttl=1, mode=MODE_DISTRIBUTED, r=60.0)
     assert ok.accessed_objects > 0
