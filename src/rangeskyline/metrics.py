@@ -30,23 +30,18 @@ def oracle_timeline(
     """True per-segment range-skylines over the window, as id frozensets."""
     t0, t_end = window
     issuer = next(n for n in nodes if n.id == issuer_id)
-    sensors = sorted(
-        (n for n in nodes if n.attrs is not None and n.id != issuer_id),
-        key=lambda n: n.id,
-    )
-    if t0 == t_end:
-        segs = _epoch_segments(issuer, sensors, range_R, t0, t0)
-        return [(frozenset(o.id for o in segs[0][0]), (t0, t_end))]
+    sensors = [n for n in nodes if n.attrs is not None and n.id != issuer_id]
     epochs = {t0, t_end}
     for n in [issuer, *sensors]:
         for t in n.plan.leg_change_times(t0, t_end):
             epochs.add(t)
     marks = sorted(epochs)
     out: Timeline = []
-    for a, b in zip(marks, marks[1:]):
+    # a snapshot window is the one epoch [t0, t0]
+    for a, b in list(zip(marks, marks[1:])) or [(t0, t_end)]:
         for sky, span in _epoch_segments(issuer, sensors, range_R, a, b):
             extend_timeline(out, frozenset(o.id for o in sky), *span)
-    return out or [(frozenset(), (t0, t_end))]
+    return out
 
 
 def _epoch_segments(issuer, sensors, range_R, a, b):
@@ -91,18 +86,16 @@ def _elementary_intervals(result: Timeline, oracle: Timeline, window: tuple[floa
     """(a, b, result set, oracle set) for each piece of the window between
     consecutive segment boundaries of either timeline."""
     t0, t_end = window
-    res = timeline_ids(result)
-    orc = timeline_ids(oracle)
     cuts = {t0, t_end}
-    for tl in (res, orc):
+    for tl in (result, oracle):
         for _, (a, b) in tl:
             if t0 < a < t_end:
                 cuts.add(a)
             if t0 < b < t_end:
                 cuts.add(b)
     marks = sorted(cuts)
-    res_at = timeline_lookup(res)
-    orc_at = timeline_lookup(orc)
+    res_at = timeline_lookup(result)
+    orc_at = timeline_lookup(oracle)
     for a, b in zip(marks, marks[1:]):
         mid = (a + b) / 2.0
         yield a, b, res_at(mid), orc_at(mid)
@@ -122,12 +115,13 @@ def precision_recall(
     At each instant: precision is |result ∩ truth| / |result| (1 when both
     empty, 0 when only the result is empty), recall is |result ∩ truth| /
     |truth| (1 when the truth is empty).  Both integrate over the window.
-    Degenerate windows compare the two sets at the single instant.
+    Degenerate windows compare the two sets at the single instant.  Both
+    timelines hold id sets, as oracle_timeline and timeline_ids make them.
     """
     t0, t_end = window
     if t0 == t_end:
-        got = timeline_lookup(timeline_ids(result))(t0)
-        p, r = _instant_scores(got, timeline_lookup(timeline_ids(oracle))(t0))
+        got = timeline_lookup(result)(t0)
+        p, r = _instant_scores(got, timeline_lookup(oracle)(t0))
         return Accuracy(p, r)
     p_area = 0.0
     r_area = 0.0

@@ -179,7 +179,8 @@ class Simulator:
 
     Protocol logic attaches through handler callbacks registered per event
     kind; the engine owns transmission, loss, flood forwarding, reverse-path
-    bookkeeping, tracing, and per-query completion detection.
+    bookkeeping, tracing, and per-query completion detection.  `nodes` maps
+    ids to nodes in ascending id order, whatever the order they were given in.
     """
 
     def __init__(
@@ -189,7 +190,7 @@ class Simulator:
         seed: int = 0,
         horizon: float = 60.0,
     ) -> None:
-        self.nodes: dict[int, NodeRuntime] = {n.id: n for n in nodes}
+        self.nodes: dict[int, NodeRuntime] = {n.id: n for n in sorted(nodes, key=lambda n: n.id)}
         if len(self.nodes) != len(nodes):
             raise ValueError("duplicate node ids")
         self.link = link
@@ -201,7 +202,7 @@ class Simulator:
         self._seq = itertools.count()
         self._handlers: dict[str, Callable] = {}
         self._loss_rng: dict[int, random.Random] = {
-            nid: random.Random(f"{seed}:loss:{nid}") for nid in sorted(self.nodes)
+            nid: random.Random(f"{seed}:loss:{nid}") for nid in self.nodes
         }
         self.reverse_parent: dict[tuple[int, int], int] = {}
         self._seen_floods: dict[int, set[tuple[int, int]]] = defaultdict(set)
@@ -211,7 +212,7 @@ class Simulator:
         self.on_message: Callable[[int, Message, float], None] | None = None
         self._range2 = link.transmission_range**2
         # (id, plan) in id order, and each id's place in it and in _snapshot
-        self._plans = [(nid, self.nodes[nid].plan) for nid in sorted(self.nodes)]
+        self._plans = [(nid, n.plan) for nid, n in self.nodes.items()]
         self._slot = {nid: i for i, (nid, _) in enumerate(self._plans)}
         self._snapshot_t: float | None = None
         self._snapshot: list[tuple[int, float, float]] = []

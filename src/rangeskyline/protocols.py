@@ -149,9 +149,8 @@ def predict_timeline(
     hi = window[1]
     if lo > hi:
         return []
-    objs = sorted(objects, key=lambda o: o.id)
     if lo == hi:
-        return [(_skyline_at(center, range_R, [_carried(o) for o in objs], lo), (lo, hi))]
+        return [(_skyline_at(center, range_R, [_carried(o) for o in objects], lo), (lo, hi))]
 
     cuts: set[float] = {lo, hi}
     # Offset p and velocity v of each live candidate relative to the center
@@ -159,7 +158,7 @@ def predict_timeline(
     live: list[tuple[float, float, float, float, float, tuple]] = []
     cx, cy = position_at(center, lo)
     cvx, cvy = center.velocity
-    for o in objs:
+    for o in objects:
         si = safe_interval(center, o, range_R, lo)
         # clipped to the window, so leave <= hi
         enter = max(si.enter, lo)
@@ -367,7 +366,7 @@ class QueryProtocol:
 
     def schedule_contacts(self) -> None:
         """Range-crossing triggers for all node pairs on their current legs."""
-        ids = sorted(self.sim.nodes)
+        ids = list(self.sim.nodes)
         for i, a in enumerate(ids):
             self._certify(a, ids[i + 1:])
 
@@ -432,8 +431,8 @@ class QueryProtocol:
             # kinetic events matter only while a continuous query is live: the
             # first one schedules every leg change in (t, span end], then contacts
             last = min(self._span_end, self.sim.horizon)
-            for nid in sorted(self.sim.nodes):
-                for w in self.sim.nodes[nid].plan.leg_change_times(t, last):
+            for nid, node in self.sim.nodes.items():
+                for w in node.plan.leg_change_times(t, last):
                     self.sim.schedule(w, EVENT_WAYPOINT, {"node": nid})
             self.schedule_contacts()
         desc = self._announce(desc, t)
@@ -555,9 +554,8 @@ class QueryProtocol:
     def _compose_batch(self, state: SensorQueryState, t: float) -> list[DataObject]:
         desc = state.descriptor
         if desc.is_snapshot:
-            pool = set(state.known.values())
             q = QuerySnapshot(position_at(desc.issuer_state, desc.window[0]), desc.range_R)
-            return sorted(point_skyline(q, pool), key=lambda o: o.id)
+            return sorted(point_skyline(q, state.known.values()), key=lambda o: o.id)
         return sorted(state.relevant_at(t), key=lambda o: o.id)
 
     def _recompute_and_send(
@@ -660,7 +658,7 @@ class QueryProtocol:
                 self._reflood(qid, t)
                 self._schedule_issuer_recompute(outcome, t)
         self._touch_holders_near(moved, t)
-        self._certify(moved, [nid for nid in sorted(self.sim.nodes) if nid != moved])
+        self._certify(moved, [nid for nid in self.sim.nodes if nid != moved])
 
     def _touch_holders_near(self, moved: int, t: float) -> None:
         for nid in self.sim.neighbors_of(moved, t) + [moved]:
@@ -702,8 +700,7 @@ class QueryProtocol:
         if t >= outcome.descriptor.window[1]:
             return
         self._reflood(qid, t)
-        for nid in sorted(self.sim.nodes):
-            node = self.sim.nodes[nid]
+        for nid, node in self.sim.nodes.items():
             if (
                 qid in node.query_buffer
                 and nid != outcome.descriptor.issuer
@@ -720,9 +717,10 @@ class QueryProtocol:
         outcome = self.outcomes[qid]
         if payload["reason"] == "timeout":
             self._settle(outcome, t)
-            return
-        for nid in sorted(self.sim.nodes):
-            self.sim.nodes[nid].query_buffer.pop(qid, None)
+            if not outcome.descriptor.is_snapshot:
+                return
+        for node in self.sim.nodes.values():
+            node.query_buffer.pop(qid, None)
 
     def _is_issuer(self, node_id: int, qid: int) -> bool:
         outcome = self.outcomes.get(qid)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rangeskyline import cli, netsim
+from rangeskyline import cli, harness, netsim
 from rangeskyline.harness import (
     CSV_HEADER,
     build_world,
@@ -653,3 +653,47 @@ def test_multi_query_continuous_keeps_state_isolated():
     result = run_scenario(scen, "multi2", "dcrsq")
     assert len(result.queries) == 2
     assert {q.query_id for q in result.queries} == {1, 2}
+
+
+def test_a_snapshot_query_leaves_the_buffers_at_its_timeout(monkeypatch):
+    # 80 snapshot queries pass through the same nodes, 32 more than a
+    # node's buffer holds: a settled query must free its entries
+    refused = []
+    store = netsim.NodeRuntime.store_query
+
+    def counting(node, query_id, entry):
+        ok = store(node, query_id, entry)
+        if not ok:
+            refused.append((node.id, query_id))
+        return ok
+
+    monkeypatch.setattr(netsim.NodeRuntime, "store_query", counting)
+    run_scenario(replace(scenario1(), query_count=80), "buf:0", "drsq")
+    assert refused == []
+
+
+@pytest.mark.parametrize("approach", ["centralized", "dcrsq"])
+def test_a_world_far_wider_than_its_range_runs_without_a_message(approach):
+    # area / range overflows a float here: no node ever hears another
+    scen = replace(
+        scenario2(), node_count=10, area_width=1e153, area_height=1e153,
+        transmission_range=1e-200,
+    )
+    result = run_scenario(scen, "wide:0", approach)
+    assert result.msgs_total == 0
+    assert len(result.queries) == 1
+
+
+def test_a_run_does_not_depend_on_the_order_of_the_node_list(monkeypatch):
+    # contacts, waypoints and two queries: every loop over the nodes runs
+    scen = replace(scenario2(), node_count=40, query_count=2, name="order")
+    runs = []
+    for reverse in (False, True):
+        if reverse:
+            monkeypatch.setattr(
+                harness, "Simulator", lambda nodes, *a, **k: Simulator(nodes[::-1], *a, **k)
+            )
+        result = run_scenario(scen, "order:0", "dcrsq")
+        runs.append((result.trace, [q.realized for q in result.queries]))
+    assert runs[0][0]
+    assert runs[0] == runs[1]

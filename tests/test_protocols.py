@@ -2,7 +2,7 @@ import math
 import random
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rangeskyline.harness import (
@@ -851,7 +851,7 @@ def _reference_distance_flip_times(center, a, b, lo, hi):
             roots.append(-c0 / c1)
     else:
         disc = c1 * c1 - 4.0 * c2 * c0
-        if disc > 0.0:
+        if disc >= 0.0:
             sq = math.sqrt(disc)
             roots.extend(((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)))
     return [lo + t for t in roots if 0.0 < t < span]
@@ -967,6 +967,15 @@ def _id_segments(timeline):
 
 @settings(max_examples=400, deadline=None)
 @given(prediction_inputs())
+@example(  # the grazing tie of the midpoint test above: a double root cuts
+    (
+        MotionState((0.0, 0.0), (0.0, 0.0), 0.0),
+        60.0,
+        [carried(0, 50, 0, 0, 0, attr=1.0), carried(1, -30, 50, 6, 0, attr=0.0)],
+        (0.0, 10.0),
+        0.0,
+    )
+)
 def test_predict_timeline_equals_reference_bit_for_bit(inputs):
     # float bounds compare under ==, so a shifted cut fails
     got = _id_segments(predict_timeline(*inputs))
