@@ -656,8 +656,8 @@ def test_multi_query_continuous_keeps_state_isolated():
 
 
 def test_a_snapshot_query_leaves_the_buffers_at_its_timeout(monkeypatch):
-    # 80 snapshot queries pass through the same nodes, 32 more than a
-    # node's buffer holds: a settled query must free its entries
+    # 80 snapshot queries pass through the same 100 nodes, whose buffers
+    # hold 32 queries each: a settled query must free its entries
     refused = []
     store = netsim.NodeRuntime.store_query
 
@@ -684,8 +684,10 @@ def test_a_world_far_wider_than_its_range_runs_without_a_message(approach):
     assert len(result.queries) == 1
 
 
-def test_a_run_does_not_depend_on_the_order_of_the_node_list(monkeypatch):
-    # contacts, waypoints and two queries: every loop over the nodes runs
+@pytest.mark.parametrize("approach", ["centralized", "dcrsq"])
+def test_a_run_does_not_depend_on_the_order_of_the_node_list(monkeypatch, approach):
+    # two queries, and under dcrsq contacts and waypoints: every loop over
+    # the nodes runs
     scen = replace(scenario2(), node_count=40, query_count=2, name="order")
     runs = []
     for reverse in (False, True):
@@ -693,7 +695,7 @@ def test_a_run_does_not_depend_on_the_order_of_the_node_list(monkeypatch):
             monkeypatch.setattr(
                 harness, "Simulator", lambda nodes, *a, **k: Simulator(nodes[::-1], *a, **k)
             )
-        result = run_scenario(scen, "order:0", "dcrsq")
+        result = run_scenario(scen, "order:0", approach)
         runs.append((result.trace, [q.realized for q in result.queries]))
     assert runs[0][0]
     assert runs[0] == runs[1]
