@@ -19,8 +19,11 @@ issuer-recompute with the query id filled in; no other line changed.  A
 change that is meant to alter results must regenerate them and say why.
 The cost digests cover the `rangeskyline cost` table of each preset, with
 the TTL taken from the scenario and with `--k 3 --mean-safe-time 4`; they
-were taken before the cost model's duplicated rules were merged.  To
-regenerate:
+were taken before the cost model's duplicated rules were merged.  The
+scenario2-turn grid runs its own seeds, whose issuers change leg inside the
+window, so its dcrsq runs reflood the query and sensors answer the
+re-announcement; its digests were taken before timelines were scored by a
+merge walk over the two partitions.  To regenerate:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -32,19 +35,23 @@ import functools
 import hashlib
 import io
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from rangeskyline import cli
 from rangeskyline.harness import csv_row, default_approaches, run_scenario, scenario1, scenario2
+from rangeskyline.protocols import QueryProtocol
 
 SEEDS = tuple(f"golden:{k}" for k in range(3))
 
+# name: (scenario, seeds)
 GRID = {
-    "scenario1": scenario1(),
-    "scenario1-3d": replace(scenario1(), attr_dims=3, attr_directions="min,max,min"),
-    "scenario2": scenario2(),
-    "scenario2-dense": replace(scenario2(), node_count=90, query_count=2),
+    "scenario1": (scenario1(), SEEDS),
+    "scenario1-3d": (replace(scenario1(), attr_dims=3, attr_directions="min,max,min"), SEEDS),
+    "scenario2": (scenario2(), SEEDS),
+    "scenario2-dense": (replace(scenario2(), node_count=90, query_count=2), SEEDS),
+    "scenario2-turn": (scenario2(), ("golden:13", "golden:17")),
 }
 
 GOLDEN = {
@@ -52,6 +59,7 @@ GOLDEN = {
     "scenario1-3d": "d3864b7030cc87509da1f06632d15b61573eac06dc137d9156cafe968c6aa3c9",
     "scenario2": "c22e20fda5ca505053f5a964deb053b99083ca10b8fd04c41188298f88d15d89",
     "scenario2-dense": "11aeb23c4ef6c42a98f5e279910dcbd12e41fc9f98380c66b5c0345e27e4aa29",
+    "scenario2-turn": "c187f9ec2ab888629f052be29bc3066db365de421c287793dbb4ce8bb2460e96",
 }
 
 GOLDEN_TRACE = {
@@ -59,6 +67,7 @@ GOLDEN_TRACE = {
     "scenario1-3d": "28ad681415c2bb660026ae33bed88317e116611e1fef76d16e313cb284de0675",
     "scenario2": "fba4ae18f10e8645d9561190717177b3de600d3e36df5b327f782a0826bc94db",
     "scenario2-dense": "856070d4773074b0bcd60ba2e7060f1f51f095ac39c82bdeca9bc7635615a248",
+    "scenario2-turn": "4dffb537422900504746b55c2df3a7f241f6326f935c08ee186ad4eb628e93b3",
 }
 
 COST_FLAGS = {
@@ -77,29 +86,44 @@ GOLDEN_COST = {
 
 
 @functools.cache
-def grid_digests(name: str) -> tuple[str, str]:
-    """sha256 of the grid's CSV rows and of its event traces, one line each."""
-    scen = GRID[name]
+def grid_digests(name: str) -> tuple[str, str, tuple]:
+    """sha256 of the grid's CSV rows and of its event traces, one line each,
+    and (approach, refloods) for each run."""
+    scen, seeds = GRID[name]
     rows = hashlib.sha256()
     trace = hashlib.sha256()
-    for rep, seed in enumerate(SEEDS):
-        for approach in default_approaches(scen):
-            result = run_scenario(scen, seed, approach)
-            rows.update((csv_row(result, "seed", seed, rep) + "\n").encode())
-            for line in result.trace:
-                trace.update((line + "\n").encode())
-    return rows.hexdigest(), trace.hexdigest()
+    refloods = []
+    with mock.patch.object(
+        QueryProtocol, "_reflood", autospec=True, side_effect=QueryProtocol._reflood
+    ) as reflood:
+        for rep, seed in enumerate(seeds):
+            for approach in default_approaches(scen):
+                before = reflood.call_count
+                result = run_scenario(scen, seed, approach)
+                refloods.append((approach, reflood.call_count - before))
+                rows.update((csv_row(result, "seed", seed, rep) + "\n").encode())
+                for line in result.trace:
+                    trace.update((line + "\n").encode())
+    return rows.hexdigest(), trace.hexdigest(), tuple(refloods)
 
 
 @pytest.mark.parametrize("name", sorted(GRID))
 def test_csv_rows_match_golden_digest(name):
-    assert GRID[name].delivery_prob == 0.95
+    assert GRID[name][0].delivery_prob == 0.95
     assert grid_digests(name)[0] == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(GRID))
 def test_event_traces_match_golden_digest(name):
     assert grid_digests(name)[1] == GOLDEN_TRACE[name]
+
+
+def test_turn_grid_refloods_every_dcrsq_run():
+    # an issuer turning inside its window is the one path to a dcrsq reflood
+    # and to the sensors' re-announcement ticks
+    dcrsq = [n for approach, n in grid_digests("scenario2-turn")[2] if approach == "dcrsq"]
+    assert len(dcrsq) == 2
+    assert all(n > 0 for n in dcrsq)
 
 
 def cost_digest(name: str) -> str:
