@@ -395,7 +395,7 @@ def run_scenario(scenario: Scenario, seed: object, approach: str) -> RunResult:
         outcome = proto.outcomes[qid]
         desc = outcome.descriptor
         truth = oracle_timeline(nodes, desc.issuer, desc.range_R, desc.window)
-        realized = timeline_ids(outcome.realized_timeline())
+        realized = timeline_ids(outcome.realized)
         acc = precision_recall(realized, truth, desc.window)
         response = outcome.response_time
         if response is None:

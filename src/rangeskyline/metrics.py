@@ -7,13 +7,12 @@ uses for predictions, but fed with exact states, so its change points cover
 range crossings and distance-order flips as well.
 
 Precision and recall compare a realized result timeline against the oracle
-instant by instant and integrate over the window.
+instant by instant and integrate over the window.  Every timeline partitions
+its window: from its start to its end, each segment begins where one ends.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from rangeskyline.netsim import NodeRuntime
@@ -57,48 +56,25 @@ def timeline_ids(timeline: Timeline) -> Timeline:
     """Normalize a timeline of object sets into one of id sets."""
     out: Timeline = []
     for sky, (a, b) in timeline:
-        ids = frozenset(o.id if isinstance(o, DataObject) else o for o in sky)
-        extend_timeline(out, ids, a, b)
+        extend_timeline(out, frozenset(o.id for o in sky), a, b)
     return out
-
-
-def timeline_lookup(timeline: Timeline) -> Callable[[float], frozenset]:
-    """The set an ordered timeline holds at any instant t.
-
-    That is the set of the first segment whose closed span holds t; before
-    the timeline it is the first set, and in a gap or after the end the last
-    set.  Bisection on the segment ends finds it.
-    """
-    ends = [b for _, (_, b) in timeline]
-
-    def value_at(t: float) -> frozenset:
-        i = bisect_left(ends, t)
-        if i < len(ends) and timeline[i][1][0] <= t:
-            return timeline[i][0]
-        if not timeline:
-            return frozenset()
-        return timeline[0][0] if i == 0 else timeline[-1][0]
-
-    return value_at
 
 
 def _elementary_intervals(result: Timeline, oracle: Timeline, window: tuple[float, float]):
     """(a, b, result set, oracle set) for each piece of the window between
-    consecutive segment boundaries of either timeline."""
+    consecutive segment boundaries of either timeline, found by one merge
+    walk over the two partitions of a span that holds the window."""
     t0, t_end = window
-    cuts = {t0, t_end}
-    for tl in (result, oracle):
-        for _, (a, b) in tl:
-            if t0 < a < t_end:
-                cuts.add(a)
-            if t0 < b < t_end:
-                cuts.add(b)
-    marks = sorted(cuts)
-    res_at = timeline_lookup(result)
-    orc_at = timeline_lookup(oracle)
-    for a, b in zip(marks, marks[1:]):
-        mid = (a + b) / 2.0
-        yield a, b, res_at(mid), orc_at(mid)
+    i = j = 0
+    a = t0
+    while a < t_end:
+        while result[i][1][1] <= a:
+            i += 1
+        while oracle[j][1][1] <= a:
+            j += 1
+        b = min(result[i][1][1], oracle[j][1][1], t_end)
+        yield a, b, result[i][0], oracle[j][0]
+        a = b
 
 
 @dataclass(frozen=True)
@@ -115,14 +91,14 @@ def precision_recall(
     At each instant: precision is |result ∩ truth| / |result| (1 when both
     empty, 0 when only the result is empty), recall is |result ∩ truth| /
     |truth| (1 when the truth is empty).  Both integrate over the window.
-    Degenerate windows compare the two sets at the single instant.  Both
-    timelines hold id sets, as oracle_timeline and timeline_ids make them.
+    A degenerate window compares the sets of the first segments that end at
+    or after its instant.  Both timelines hold id sets, as oracle_timeline
+    and timeline_ids make them, and partition the window.
     """
     t0, t_end = window
     if t0 == t_end:
-        got = timeline_lookup(result)(t0)
-        p, r = _instant_scores(got, timeline_lookup(oracle)(t0))
-        return Accuracy(p, r)
+        got, truth = (next(sky for sky, (_, b) in tl if b >= t0) for tl in (result, oracle))
+        return Accuracy(*_instant_scores(got, truth))
     p_area = 0.0
     r_area = 0.0
     for a, b, got, truth in _elementary_intervals(result, oracle, window):

@@ -142,7 +142,7 @@ def predict_timeline(
     Segments break where a candidate's predicted in-range interval starts or
     ends and where two live candidates tie in distance to the center; within
     a segment the skyline is constant, so it is evaluated at the midpoint.
-    Returns (frozenset of carried objects, (start, end)) pairs covering
+    Returns (frozenset of carried objects, (start, end)) pairs partitioning
     [max(now, window start), window end], coalescing equal neighbours.
     """
     lo = max(window[0], now)
@@ -206,7 +206,7 @@ def predict_timeline(
         members = [row for enter, leave, _, _, _, row in live if enter <= mid <= leave]
         # members are in range by their safe intervals
         extend_timeline(out, _skyline_at(center, INF, members, mid), a, b)
-    return out or [(frozenset(), (lo, hi))]
+    return out
 
 
 def _contact_enter(la: tuple, lb: tuple, R: float) -> float:
@@ -290,34 +290,30 @@ class QueryOutcome:
     response_time: float | None = None
     accessed_objects: int = 0
     known: dict[int, DataObject] = field(default_factory=dict)
-    # what the issuer believed at each instant, as of its last recompute
-    realized: Timeline = field(default_factory=list)
+    # what the issuer believed at each instant of the window, as of its last
+    # recompute: the empty set until the first one
+    realized: Timeline = field(init=False)
     last_recompute: float = -INF
     recompute_scheduled: bool = False
+
+    def __post_init__(self) -> None:
+        self.realized = [(frozenset(), self.descriptor.window)]
 
     def believe(self, t: float, timeline: Timeline) -> None:
         """Make timeline, recomputed at t, the issuer's belief from t on.
 
         timeline covers [max(t, t0), t_end].  The belief before t stays:
         segments starting at or after t are dropped and the last one is cut
-        at t; before the first recompute the issuer believed the empty set.
-        Zero-length segments are not kept.
+        at t.  Zero-length segments are not kept.
         """
         out = self.realized
         while out and out[-1][1][0] >= t:
             out.pop()
-        t0 = self.descriptor.window[0]
         if out:
             out[-1] = (out[-1][0], (out[-1][1][0], t))
-        elif t > t0:
-            out.append((frozenset(), (t0, t)))
         for sky, (a, b) in timeline:
             if b > a:
                 extend_timeline(out, sky, a, b)
-
-    def realized_timeline(self) -> Timeline:
-        """What the issuer believed at each instant of the window."""
-        return self.realized or [(frozenset(), self.descriptor.window)]
 
 
 class QueryProtocol:

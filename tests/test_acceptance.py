@@ -43,7 +43,7 @@ from rangeskyline.harness import (
     sweep,
 )
 from rangeskyline.kinematics import INF, MotionState, position_at, safe_interval
-from rangeskyline.metrics import _elementary_intervals, timeline_ids
+from rangeskyline.metrics import _elementary_intervals
 from rangeskyline.protocols import extend_timeline
 from rangeskyline.skyline import DataObject, QuerySnapshot, point_skyline
 
@@ -210,7 +210,7 @@ def divergence_intervals(result, oracle, window):
 def change_points(timeline, window):
     """Window start plus every instant the timeline's set changes."""
     t0, t_end = window
-    return [t0] + [a for _, (a, _) in timeline_ids(timeline)[1:] if t0 < a <= t_end]
+    return [t0] + [a for _, (a, _) in timeline[1:] if t0 < a <= t_end]
 
 
 def _beyond_allowance(q, window, allowance):
@@ -255,8 +255,8 @@ def test_criterion_2_continuous_soundness(continuous_soundness_runs):
         )
         for a, b in bad:
             mid = (a + b) / 2.0
-            want = _value_at(timeline_ids(q.oracle), mid)
-            got = _value_at(timeline_ids(q.realized), mid)
+            want = _value_at(q.oracle, mid)
+            got = _value_at(q.realized, mid)
             missing = want - got
             missing_ok = set()
             for m in sorted(missing):

@@ -1,4 +1,6 @@
+import math
 import random
+from bisect import bisect_left
 from dataclasses import replace
 
 import pytest
@@ -8,14 +10,17 @@ from hypothesis import strategies as st
 from rangeskyline.harness import build_world, query_windows, scenario2, world_horizon
 from rangeskyline.kinematics import MotionState, WaypointPlan
 from rangeskyline.metrics import (
+    _elementary_intervals,
+    _instant_scores,
     oracle_timeline,
     precision_recall,
     timeline_ids,
-    timeline_lookup,
 )
 from rangeskyline.netsim import LinkModel, NodeRuntime, Simulator
 from rangeskyline.protocols import QueryDescriptor, QueryProtocol
 from rangeskyline.skyline import AttributeVector, DataObject, QuerySnapshot, range_skyline
+
+from helpers import assert_partitions
 
 
 def static_node(nid, x, y, attr=None):
@@ -192,38 +197,125 @@ def test_three_interval_oracle_ends_with_lone_survivor():
 
 
 # ---------------------------------------------------------------------------
-# set lookup
+# the merge walk against the lookup it replaced
 # ---------------------------------------------------------------------------
 
-def linear_value_at(timeline, t):
-    """Reference: the linear scan the bisect lookup replaced."""
-    for sky, (a, b) in timeline:
-        if a <= t <= b:
-            return sky
-    if timeline:
-        if t < timeline[0][1][0]:
-            return timeline[0][0]
-        return timeline[-1][0]
-    return frozenset()
+def frozen_lookup(timeline):
+    """The set a timeline holds at t, by bisection: a frozen copy of the
+    lookup the merge walk replaced, fallbacks for gaps included."""
+    ends = [b for _, (_, b) in timeline]
+
+    def value_at(t):
+        i = bisect_left(ends, t)
+        if i < len(ends) and timeline[i][1][0] <= t:
+            return timeline[i][0]
+        if not timeline:
+            return frozenset()
+        return timeline[0][0] if i == 0 else timeline[-1][0]
+
+    return value_at
+
+
+def frozen_elementary_intervals(result, oracle, window):
+    """Frozen copy of the lookup-based pieces: sorted cuts, sets at midpoints."""
+    t0, t_end = window
+    cuts = {t0, t_end}
+    for tl in (result, oracle):
+        for _, (a, b) in tl:
+            if t0 < a < t_end:
+                cuts.add(a)
+            if t0 < b < t_end:
+                cuts.add(b)
+    marks = sorted(cuts)
+    res_at = frozen_lookup(result)
+    orc_at = frozen_lookup(oracle)
+    for a, b in zip(marks, marks[1:]):
+        mid = (a + b) / 2.0
+        yield a, b, res_at(mid), orc_at(mid)
+
+
+def frozen_precision_recall(result, oracle, window):
+    """Frozen copy of the lookup-based scoring, as (precision, recall)."""
+    t0, t_end = window
+    if t0 == t_end:
+        return _instant_scores(frozen_lookup(result)(t0), frozen_lookup(oracle)(t0))
+    p_area = 0.0
+    r_area = 0.0
+    for a, b, got, truth in frozen_elementary_intervals(result, oracle, window):
+        p, r = _instant_scores(got, truth)
+        p_area += p * (b - a)
+        r_area += r * (b - a)
+    span = t_end - t0
+    return p_area / span, r_area / span
 
 
 @st.composite
-def ordered_timelines(draw):
-    """Ordered segments on a coarse grid: gaps, zero-length spans, shared ends."""
-    t = draw(st.integers(0, 3))
-    out = []
-    for k in range(draw(st.integers(0, 6))):
-        a = t + draw(st.sampled_from([0, 0, 1, 2]))
-        b = a + draw(st.sampled_from([0, 1, 2]))
-        out.append((frozenset({k}), (a / 2.0, b / 2.0)))
-        t = b
-    return out
+def partitions_and_windows(draw):
+    """Two partitions of one span and a window, on a 1/8-second grid.
+
+    The window is the span, a sub-window that starts inside or at the edge
+    of a segment (as divergence_intervals in test_acceptance cuts one), or
+    one instant of the span.  Sets come from a pool of four, so neighbours
+    may repeat.  On the grid every midpoint is exact, so the lookup reads
+    the segment that holds each piece.
+    """
+    pool = (frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({2}))
+    first = draw(st.integers(0, 16))
+    last = first + draw(st.integers(1, 40))
+
+    def partition():
+        inner = draw(st.sets(st.integers(first + 1, last), max_size=8)) - {last}
+        marks = [first, *sorted(inner), last]
+        return [(draw(st.sampled_from(pool)), (a / 8, b / 8)) for a, b in zip(marks, marks[1:])]
+
+    result, oracle = partition(), partition()
+    kind = draw(st.sampled_from(["span", "sub-window", "instant"]))
+    if kind == "span":
+        window = (first / 8, last / 8)
+    elif kind == "sub-window":
+        window = (draw(st.integers(first, last - 1)) / 8, last / 8)
+    else:
+        t = draw(st.integers(first, last)) / 8
+        window = (t, t)
+    return result, oracle, window
 
 
-@settings(max_examples=500, deadline=None)
-@given(ordered_timelines(), st.lists(st.integers(-2, 40), max_size=10))
-def test_timeline_lookup_matches_linear_scan(timeline, quarter_steps):
-    at = timeline_lookup(timeline)
-    bounds = [x for _, span in timeline for x in span]
-    for t in bounds + [q / 4.0 for q in quarter_steps]:
-        assert at(t) == linear_value_at(timeline, t)
+@settings(max_examples=600, deadline=None)
+@given(partitions_and_windows())
+def test_merge_walk_equals_the_frozen_lookup(case):
+    result, oracle, window = case
+    got = list(_elementary_intervals(result, oracle, window))
+    assert got == list(frozen_elementary_intervals(result, oracle, window))
+    acc = precision_recall(result, oracle, window)
+    assert (acc.precision, acc.recall) == frozen_precision_recall(result, oracle, window)
+
+
+def test_a_one_ulp_piece_takes_the_set_of_the_segment_holding_it():
+    # cuts one ulp apart, as a realized and an oracle cut of one crossing can
+    # be: the midpoint of the piece between them rounds onto its start, so
+    # the lookup read the segment before the piece; the walk reads the one
+    # that holds it
+    a = 30.264746457844055
+    b = math.nextafter(a, math.inf)
+    assert (a + b) / 2.0 == a
+    result = [(frozenset({1}), (0.0, a)), (frozenset({2}), (a, 40.0))]
+    oracle = [(frozenset({1}), (0.0, b)), (frozenset({2}), (b, 40.0))]
+    one, two = frozenset({1}), frozenset({2})
+    pieces = list(_elementary_intervals(result, oracle, (0.0, 40.0)))
+    assert pieces == [(0.0, a, one, one), (a, b, two, one), (b, 40.0, two, two)]
+    frozen = list(frozen_elementary_intervals(result, oracle, (0.0, 40.0)))
+    assert frozen[1] == (a, b, one, one)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 999),
+    st.sampled_from([0.0, 2.0, 7.5]),
+    st.sampled_from([0.0, 3.0, 10.0]),
+)
+def test_oracle_timeline_partitions_its_window(seed, start, length):
+    scen = replace(scenario2(), node_count=12)
+    nodes = build_world(scen, f"partition:{seed}")
+    issuer = next(n for n in nodes if n.attrs is None)
+    window = (start, start + length)
+    assert_partitions(oracle_timeline(nodes, issuer.id, scen.query_range, window), window)

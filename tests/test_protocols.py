@@ -47,6 +47,8 @@ from rangeskyline.skyline import (
     range_skyline,
 )
 
+from helpers import assert_partitions
+
 
 AREA = (1000.0, 1000.0)
 
@@ -119,7 +121,7 @@ def test_intermediate_merges_and_prunes_received_sets():
     ]
     sim, proto, outcome = run_query(nodes, 0, R=120.0, ttl=1, mode=MODE_DISTRIBUTED, r=60.0)
     assert outcome.realized
-    assert {o.id for o in outcome.realized_timeline()[0][0]} == {4, 5}
+    assert {o.id for o in outcome.realized[0][0]} == {4, 5}
     # the relay forwarded exactly its two skyline members
     assert outcome.accessed_objects == 2
 
@@ -127,7 +129,7 @@ def test_intermediate_merges_and_prunes_received_sets():
 def test_end_node_with_no_neighbors_reports_itself():
     nodes = [query_node(0, static_plan(0, 0)), sensor(1, static_plan(40, 0), 5.0)]
     sim, proto, outcome = run_query(nodes, 0, R=80.0, ttl=0, mode=MODE_DISTRIBUTED, r=60.0)
-    assert {o.id for o in outcome.realized_timeline()[0][0]} == {1}
+    assert {o.id for o in outcome.realized[0][0]} == {1}
 
 
 def test_dominated_self_is_excluded_from_reply():
@@ -155,7 +157,7 @@ def test_out_of_range_candidate_filtered_at_issuer():
         sensor(2, static_plan(100, 0), 0.5),  # outside R=80
     ]
     sim, proto, outcome = run_query(nodes, 0, R=80.0, ttl=1, mode=MODE_DISTRIBUTED, r=60.0)
-    assert {o.id for o in outcome.realized_timeline()[0][0]} == {1}
+    assert {o.id for o in outcome.realized[0][0]} == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,7 @@ def test_distributed_snapshot_equals_oracle_on_random_static_worlds():
         nodes = random_static_world(rng, 30)
         sim, proto, outcome = run_query(nodes, 0, R=100.0, ttl=2, mode=MODE_DISTRIBUTED, r=90.0, seed=trial)
         expected = oracle_snapshot(nodes, 0, 100.0, 1.0)
-        assert {o.id for o in outcome.realized_timeline()[0][0]} == expected
+        assert {o.id for o in outcome.realized[0][0]} == expected
 
 
 def test_centralized_snapshot_matches_distributed_and_oracle():
@@ -188,8 +190,8 @@ def test_centralized_snapshot_matches_distributed_and_oracle():
     nodes2 = random_static_world(random.Random(77), 25)
     sim_c, _, cent_out = run_query(nodes2, 0, R=100.0, ttl=5, mode=MODE_CENTRALIZED, r=90.0)
     expected = oracle_snapshot(nodes, 0, 100.0, 1.0)
-    assert {o.id for o in dist_out.realized_timeline()[0][0]} == expected
-    assert {o.id for o in cent_out.realized_timeline()[0][0]} == expected
+    assert {o.id for o in dist_out.realized[0][0]} == expected
+    assert {o.id for o in cent_out.realized[0][0]} == expected
 
 
 def test_distributed_sends_fewer_messages_than_centralized():
@@ -303,7 +305,7 @@ def test_static_continuous_timeline_is_single_interval_equal_oracle():
         nodes, 0, R=100.0, ttl=2, mode=MODE_DISTRIBUTED, r=90.0, window=8.0
     )
     expected = oracle_snapshot(nodes, 0, 100.0, 1.0)
-    realized = outcome.realized_timeline()
+    realized = outcome.realized
     # after the collection delay the realized sets must all equal the oracle
     settled = [seg for seg in realized if seg[1][0] >= 1.0 + outcome.response_time]
     assert settled, "no settled segment found"
@@ -334,7 +336,7 @@ def test_relay_known_entrant_appears_in_predicted_result():
     )
     # entrant at x=150-10t crosses R=100 at t=5, i.e. 4 s into the window;
     # it overtakes and dominates the relay from t=5.5
-    realized = outcome.realized_timeline()
+    realized = outcome.realized
     at_entry = [sky for sky, (a, b) in realized if a <= 6.5 <= b]
     assert at_entry and any(o.id == 8 for o in at_entry[0])
     before = [sky for sky, (a, b) in realized if a <= 3.0 <= b]
@@ -371,6 +373,7 @@ def test_unreached_region_yields_empty_result_without_crash():
     nodes = [query_node(0, static_plan(0, 0)), sensor(1, static_plan(500, 500), 1.0)]
     sim, proto, outcome = run_query(nodes, 0, R=80.0, ttl=2, mode=MODE_DISTRIBUTED, r=30.0)
     # settled at the timeout, empty
+    assert outcome.response_time is not None
     assert outcome.realized == [(frozenset(), (1.0, 1.0))]
 
 
@@ -405,6 +408,7 @@ def test_empty_collection_is_flagged_low_confidence():
     _, _, outcome = run_query(nodes, 0, R=80.0, ttl=2, mode=MODE_DISTRIBUTED, r=30.0)
     assert outcome.accessed_objects == 0 and not outcome.known
     # settled at the timeout, empty
+    assert outcome.response_time is not None
     assert outcome.realized == [(frozenset(), (1.0, 1.0))]
     nodes2 = [query_node(0, static_plan(0, 0)), sensor(1, static_plan(40, 0), 1.0)]
     _, _, ok = run_query(nodes2, 0, R=80.0, ttl=1, mode=MODE_DISTRIBUTED, r=60.0)
@@ -475,7 +479,30 @@ def test_belief_equals_the_replay_of_the_recompute_history(case):
     outcome = QueryOutcome(desc, window[0])
     for t, timeline in history:
         outcome.believe(t, timeline)
-    assert outcome.realized_timeline() == replayed_timeline(window, history)
+    assert outcome.realized == replayed_timeline(window, history)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 999),
+    st.sampled_from([MODE_DISTRIBUTED, MODE_CENTRALIZED]),
+    st.booleans(),
+)
+def test_a_runs_realized_timeline_partitions_its_window(seed, mode, snapshot):
+    scen = replace(scenario2(), node_count=30)
+    nodes = build_world(scen, f"partition:{seed}")
+    (window,) = query_windows(scen, f"partition:{seed}")
+    if snapshot:
+        window = (window[0], window[0])
+    link = LinkModel(transmission_range=scen.transmission_range)
+    sim = Simulator(nodes, link, horizon=world_horizon(scen, f"partition:{seed}"))
+    origin = MotionState((0.0, 0.0), (0.0, 0.0), window[0])
+    desc = QueryDescriptor(1, scen.node_count, origin, scen.query_range, window, 3)
+    assert QueryOutcome(desc, window[0]).realized == [(frozenset(), window)]
+    proto = QueryProtocol(sim, mode=mode)
+    proto.issue(desc, window[0])
+    sim.run()
+    assert_partitions(proto.outcomes[1].realized, window)
 
 
 # ---------------------------------------------------------------------------
@@ -980,6 +1007,18 @@ def test_predict_timeline_equals_reference_bit_for_bit(inputs):
     # float bounds compare under ==, so a shifted cut fails
     got = _id_segments(predict_timeline(*inputs))
     assert got == _id_segments(reference_predict_timeline(*inputs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(prediction_inputs())
+def test_predict_timeline_partitions_its_window(inputs):
+    _, _, _, (start, end), now = inputs
+    timeline = predict_timeline(*inputs)
+    lo = max(start, now)
+    if lo > end:
+        assert timeline == []
+    else:
+        assert_partitions(timeline, (lo, end))
 
 
 # ---------------------------------------------------------------------------
