@@ -137,31 +137,17 @@ class WaypointPlan:
         speed_range: tuple[float, float],
         horizon: float,
         rng: random.Random,
-        waypoints: list[tuple[float, float]] | None = None,
-        speeds: list[float] | None = None,
     ) -> None:
         self.legs: list[Leg] = []
         lo, hi = speed_range
         t = 0.0
         pos = start
         if hi > 0.0:
-            fixed_targets = list(waypoints) if waypoints else None
-            fixed_speeds = list(speeds) if speeds else None
-            idx = 0
             while t < horizon:
-                if fixed_targets is not None and idx < len(fixed_targets):
-                    target = fixed_targets[idx]
-                    speed = (
-                        fixed_speeds[idx]
-                        if fixed_speeds is not None and idx < len(fixed_speeds)
-                        else hi
-                    )
-                else:
-                    target = (rng.uniform(0.0, area[0]), rng.uniform(0.0, area[1]))
+                target = (rng.uniform(0.0, area[0]), rng.uniform(0.0, area[1]))
+                speed = rng.uniform(lo, hi)
+                while speed <= 0.0:
                     speed = rng.uniform(lo, hi)
-                    while speed <= 0.0:
-                        speed = rng.uniform(lo, hi)
-                idx += 1
                 dist = math.hypot(target[0] - pos[0], target[1] - pos[1])
                 if dist == 0.0:
                     continue

@@ -1,5 +1,23 @@
 """Helpers shared by the test modules."""
 
+import random
+
+
+class ScriptedRandom(random.Random):
+    """A seeded generator whose first uniform draws are scripted.
+
+    WaypointPlan draws each leg as a uniform x, a uniform y and a uniform
+    speed, so legs = [((x, y), speed), ...] fixes a plan's first legs; the
+    draws after them come from the generator's own seeded state.
+    """
+
+    def __init__(self, seed, legs):
+        super().__init__(seed)
+        self.script = [v for (x, y), speed in legs for v in (x, y, speed)]
+
+    def uniform(self, a, b):
+        return self.script.pop(0) if self.script else super().uniform(a, b)
+
 
 def assert_partitions(timeline, window):
     """timeline runs from the window start to its end, each segment starting

@@ -19,6 +19,8 @@ from rangeskyline.kinematics import (
 )
 from rangeskyline.protocols import QueryDescriptor
 
+from helpers import ScriptedRandom
+
 
 # ---------------------------------------------------------------------------
 # Dense-sampling oracle for safe intervals: march the pair distance on a fine
@@ -229,7 +231,7 @@ def test_inverted_window_rejected():
 def test_single_leg_midpoint_position():
     plan = WaypointPlan(
         (0.0, 0.0), (10.0, 10.0), (2.0, 2.0), 5.0,
-        random.Random(0), waypoints=[(10.0, 0.0)], speeds=[2.0],
+        ScriptedRandom(0, [((10.0, 0.0), 2.0)]),
     )
     assert plan.motion_state_at(3.0).position == pytest.approx((6.0, 0.0))
 
@@ -237,7 +239,7 @@ def test_single_leg_midpoint_position():
 def test_arrival_starts_next_leg():
     plan = WaypointPlan(
         (0.0, 0.0), (10.0, 10.0), (2.0, 2.0), 6.0,
-        random.Random(0), waypoints=[(10.0, 0.0)], speeds=[2.0],
+        ScriptedRandom(0, [((10.0, 0.0), 2.0)]),
     )
     state = plan.motion_state_at(5.0)
     assert state.position == pytest.approx((10.0, 0.0))
@@ -323,8 +325,8 @@ def plans_and_instants(draw):
     waypoints = draw(st.lists(st.tuples(coord, coord), max_size=4))
     plan = WaypointPlan(
         start, (100.0, 100.0), (min(1.0, speed_max), speed_max),
-        draw(st.sampled_from([5.0, 30.0, 60.0])), random.Random(draw(st.integers(0, 99))),
-        waypoints=waypoints, speeds=[speed_max] * len(waypoints),
+        draw(st.sampled_from([5.0, 30.0, 60.0])),
+        ScriptedRandom(draw(st.integers(0, 99)), [(w, speed_max) for w in waypoints]),
     )
     # a stationary plan has one leg from 0 that never ends
     final_end = min(plan.legs[-1].t_end, 1e6)

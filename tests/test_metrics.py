@@ -20,7 +20,7 @@ from rangeskyline.netsim import LinkModel, NodeRuntime, Simulator
 from rangeskyline.protocols import QueryDescriptor, QueryProtocol
 from rangeskyline.skyline import AttributeVector, DataObject, QuerySnapshot, range_skyline
 
-from helpers import assert_partitions
+from helpers import ScriptedRandom, assert_partitions
 
 
 def static_node(nid, x, y, attr=None):
@@ -175,19 +175,19 @@ def test_three_interval_oracle_ends_with_lone_survivor():
     leaver1 = NodeRuntime(
         1,
         WaypointPlan((90.0, 0.0), (500.0, 500.0), (5.0, 5.0), 60.0,
-                     random.Random(0), waypoints=[(400.0, 0.0)], speeds=[5.0]),
+                     ScriptedRandom(0, [((400.0, 0.0), 5.0)])),
         AttributeVector((1.0,)),
     )
     leaver2 = NodeRuntime(
         2,
         WaypointPlan((0.0, 80.0), (500.0, 500.0), (5.0, 5.0), 60.0,
-                     random.Random(0), waypoints=[(0.0, 400.0)], speeds=[5.0]),
+                     ScriptedRandom(0, [((0.0, 400.0), 5.0)])),
         AttributeVector((2.0,)),
     )
     entrant = NodeRuntime(
         8,
         WaypointPlan((130.0, 0.0), (500.0, 500.0), (5.0, 5.0), 60.0,
-                     random.Random(0), waypoints=[(-400.0, 0.0)], speeds=[5.0]),
+                     ScriptedRandom(0, [((-400.0, 0.0), 5.0)])),
         AttributeVector((0.5,)),
     )
     tl = oracle_timeline([issuer, leaver1, leaver2, entrant], 0, 100.0, (0.0, 10.0))

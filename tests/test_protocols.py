@@ -47,7 +47,7 @@ from rangeskyline.skyline import (
     range_skyline,
 )
 
-from helpers import assert_partitions
+from helpers import ScriptedRandom, assert_partitions
 
 
 AREA = (1000.0, 1000.0)
@@ -59,8 +59,7 @@ def static_plan(x, y, horizon=60.0):
 
 def moving_plan(x, y, target, speed, horizon=60.0):
     return WaypointPlan(
-        (float(x), float(y)), AREA, (speed, speed), horizon,
-        random.Random(0), waypoints=[target], speeds=[speed],
+        (float(x), float(y)), AREA, (speed, speed), horizon, ScriptedRandom(0, [(target, speed)])
     )
 
 
@@ -541,8 +540,9 @@ def test_resensing_builds_a_record_only_for_a_new_leg(monkeypatch):
     nodes = [
         sensor(0, static_plan(0, 0), 0.5),
         sensor(1, moving_plan(10, 0, (60.0, 0.0), 10.0, horizon=5.0), 0.2),
-        sensor(2, WaypointPlan((10.0, 10.0), AREA, (10.0, 10.0), 60.0, random.Random(0),
-                               waypoints=[(40.0, 10.0), (40.0, 100.0)], speeds=[10.0, 10.0]), 0.7),
+        sensor(2, WaypointPlan((10.0, 10.0), AREA, (10.0, 10.0), 60.0,
+                               ScriptedRandom(0, [((40.0, 10.0), 10.0), ((40.0, 100.0), 10.0)])),
+               0.7),
         query_node(3, static_plan(5, 5)),
     ]
     sim = Simulator(nodes, LinkModel(transmission_range=5000.0), horizon=60.0)
@@ -698,8 +698,8 @@ def contact_pairs(draw):
         waypoints = draw(st.lists(st.tuples(coord, coord), max_size=4))
         plan = WaypointPlan(
             (draw(coord), draw(coord)), (40.0, 40.0), (min(1.0, speed), speed),
-            draw(st.sampled_from([20.0, 60.0])), random.Random(draw(st.integers(0, 99))),
-            waypoints=waypoints, speeds=[speed] * len(waypoints),
+            draw(st.sampled_from([20.0, 60.0])),
+            ScriptedRandom(draw(st.integers(0, 99)), [(w, speed) for w in waypoints]),
         )
         nodes.append(sensor(nid, plan, 1.0))
     # the clock often sits exactly at a leg start, and sometimes past the
