@@ -9,6 +9,7 @@ from pathlib import Path
 
 from rangeskyline.analysis import cost_table
 from rangeskyline.harness import (
+    APPROACHES,
     CSV_HEADER,
     PRESETS,
     Scenario,
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     common.add_argument("--seed", type=int, help="master seed override")
 
     p_run = sub.add_parser("run", parents=[common], help="run one scenario")
-    p_run.add_argument("--approach", action="append", choices=["centralized", "drsq", "dcrsq"])
+    p_run.add_argument("--approach", action="append", choices=APPROACHES)
     p_run.add_argument("--out", help="CSV output path (default stdout)")
     p_run.add_argument("--trace", help="event trace output path")
     p_run.set_defaults(fn=cmd_run)
