@@ -4,7 +4,7 @@ from bisect import bisect_left
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rangeskyline.harness import build_world, query_windows, scenario2, world_horizon
@@ -98,16 +98,19 @@ def test_oracle_reads_plans_a_finished_simulator_left_at_later_instants():
             assert oracle_timeline(nodes, issuer, scen.query_range, span) == fresh, (seed, span)
 
 
-def test_oracle_covers_window_contiguously():
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 999).map(lambda k: f"cover:{k}"),
+    st.sampled_from([0.0, 2.0, 7.5]),
+    st.sampled_from([0.0, 3.0, 10.0]),
+)
+@example("cover", 2.0, 10.0)
+def test_oracle_covers_window_contiguously(seed, start, length):
     scen = replace(scenario2(), node_count=30)
-    nodes = build_world(scen, "cover")
+    nodes = build_world(scen, seed)
     issuer = next(n for n in nodes if n.attrs is None)
-    window = (2.0, 12.0)
-    tl = oracle_timeline(nodes, issuer.id, scen.query_range, window)
-    assert tl[0][1][0] == window[0]
-    assert tl[-1][1][1] == window[1]
-    for (_, (_, b)), (_, (a2, _)) in zip(tl, tl[1:]):
-        assert a2 == b
+    window = (start, start + length)
+    assert_partitions(oracle_timeline(nodes, issuer.id, scen.query_range, window), window)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +308,3 @@ def test_a_one_ulp_piece_takes_the_set_of_the_segment_holding_it():
     assert pieces == [(0.0, a, one, one), (a, b, two, one), (b, 40.0, two, two)]
     frozen = list(frozen_elementary_intervals(result, oracle, (0.0, 40.0)))
     assert frozen[1] == (a, b, one, one)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 999),
-    st.sampled_from([0.0, 2.0, 7.5]),
-    st.sampled_from([0.0, 3.0, 10.0]),
-)
-def test_oracle_timeline_partitions_its_window(seed, start, length):
-    scen = replace(scenario2(), node_count=12)
-    nodes = build_world(scen, f"partition:{seed}")
-    issuer = next(n for n in nodes if n.attrs is None)
-    window = (start, start + length)
-    assert_partitions(oracle_timeline(nodes, issuer.id, scen.query_range, window), window)
