@@ -62,8 +62,8 @@ def timeline_ids(timeline: Timeline) -> Timeline:
 
 def _elementary_intervals(result: Timeline, oracle: Timeline, window: tuple[float, float]):
     """(a, b, result set, oracle set) for each piece of the window between
-    consecutive segment boundaries of either timeline, found by one merge
-    walk over the two partitions of a span that holds the window."""
+    consecutive segment boundaries of either timeline; both partition a span
+    holding the window, so one merge walk over their segment ends finds them."""
     t0, t_end = window
     i = j = 0
     a = t0

@@ -483,18 +483,18 @@ def test_belief_equals_the_replay_of_the_recompute_history(case):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.integers(0, 999),
+    st.integers(0, 999).map(lambda k: f"partition:{k}"),
     st.sampled_from([MODE_DISTRIBUTED, MODE_CENTRALIZED]),
     st.booleans(),
 )
 def test_a_runs_realized_timeline_partitions_its_window(seed, mode, snapshot):
     scen = replace(scenario2(), node_count=30)
-    nodes = build_world(scen, f"partition:{seed}")
-    (window,) = query_windows(scen, f"partition:{seed}")
+    nodes = build_world(scen, seed)
+    (window,) = query_windows(scen, seed)
     if snapshot:
         window = (window[0], window[0])
     link = LinkModel(transmission_range=scen.transmission_range)
-    sim = Simulator(nodes, link, horizon=world_horizon(scen, f"partition:{seed}"))
+    sim = Simulator(nodes, link, horizon=world_horizon(scen, seed))
     origin = MotionState((0.0, 0.0), (0.0, 0.0), window[0])
     desc = QueryDescriptor(1, scen.node_count, origin, scen.query_range, window, 3)
     assert QueryOutcome(desc, window[0]).realized == [(frozenset(), window)]
