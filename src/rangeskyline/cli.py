@@ -59,7 +59,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     scen = _load_scenario(args)
     values = sweep_values(args.param, args.values)
-    lines = sweep(scen, args.param, values, replications=args.reps)
+    if args.reps is not None:
+        scen = replace(scen, replications=args.reps)
+    lines = sweep(scen, args.param, values)
     _write(args.out, "\n".join(lines) + "\n")
     if args.summary:
         for metric in ("msgs_total", "accessed_objects", "precision", "recall"):

@@ -32,7 +32,6 @@ from rangeskyline.netsim import (
 from rangeskyline.protocols import (
     MODE_CENTRALIZED,
     MODE_DISTRIBUTED,
-    TIMEOUT_FACTOR,
     QueryDescriptor,
     QueryProtocol,
 )
@@ -100,6 +99,10 @@ class Scenario:
             raise ValueError("ttl_centralized must be >= 0")
         if self.delta_t < 0:
             raise ValueError("delta_t must be >= 0")
+        # query_windows draws starts up to 50 s; a window there must end after
+        # it starts, or the continuous query is a snapshot
+        if 0 < self.delta_t and 50.0 + self.delta_t == 50.0:
+            raise ValueError("delta_t must be 0 or large enough that 50.0 + delta_t > 50.0")
         if self.delta_t / self.report_interval > 1000:
             raise ValueError(
                 "report_interval: delta_t / report_interval (report rounds per window) "
@@ -371,8 +374,7 @@ def run_scenario(scenario: Scenario, seed: object, approach: str) -> RunResult:
 
     nodes = build_world(scenario, seed)
     horizon = world_horizon(scenario, seed)
-    link = scenario.link()
-    sim = Simulator(nodes, link, seed=seed, horizon=horizon)
+    sim = Simulator(nodes, scenario.link(), seed=seed, horizon=horizon)
     mode = MODE_CENTRALIZED if approach == "centralized" else MODE_DISTRIBUTED
     proto = QueryProtocol(sim, mode=mode, report_interval=scenario.report_interval)
 
@@ -397,13 +399,11 @@ def run_scenario(scenario: Scenario, seed: object, approach: str) -> RunResult:
         truth = oracle_timeline(nodes, desc.issuer, desc.range_R, desc.window)
         realized = timeline_ids(outcome.realized)
         acc = precision_recall(realized, truth, desc.window)
-        response = outcome.response_time
-        if response is None:
-            response = TIMEOUT_FACTOR * (ttl + 1) * link.hop_delay
         queries.append(
             QueryMetrics(
                 query_id=qid,
-                response_time_s=response,
+                # every query settles by its timeout, which is at most the horizon
+                response_time_s=outcome.response_time,
                 accessed_objects=outcome.accessed_objects,
                 precision=acc.precision,
                 recall=acc.recall,
@@ -435,21 +435,16 @@ def csv_row(result: RunResult, param: str, value: object, rep: int) -> str:
     )
 
 
-def sweep(
-    scenario: Scenario,
-    param: str,
-    values: list,
-    replications: int | None = None,
-) -> list[str]:
-    """Paired-seed parameter sweep; returns CSV lines including the header."""
+def sweep(scenario: Scenario, param: str, values: list) -> list[str]:
+    """Paired-seed parameter sweep, scenario.replications runs per value and approach.
+
+    Returns CSV lines including the header.
+    """
     _sweep_field_type(param)
-    reps = scenario.replications if replications is None else replications
-    if reps < 1:
-        raise ValueError("replications must be >= 1")
     lines = [CSV_HEADER]
     for value in values:
         cell = scenario if param == "none" else replace(scenario, **{param: value})
-        for rep in range(reps):
+        for rep in range(scenario.replications):
             seed = f"{scenario.seed}:{param}:{value}:{rep}"
             for approach in default_approaches(cell):
                 result = run_scenario(cell, seed, approach)

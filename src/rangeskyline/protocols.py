@@ -62,7 +62,8 @@ MODE_CENTRALIZED = "centralized"
 # Intermediate nodes hold their first reply until the replies of a TTL-deep
 # subtree can drain: two hop delays per remaining level plus slack.
 HOLD_FACTOR = 2.2
-# The issuer gives up on stragglers after this many hop delays per flood level.
+# The issuer gives up on stragglers after this many hop delays per flood level,
+# or at the run's end if that comes first.
 TIMEOUT_FACTOR = 4.0
 # The issuer recomputes its global timeline at most once per this interval.
 RECOMPUTE_INTERVAL = 0.1
@@ -434,7 +435,8 @@ class QueryProtocol:
         desc = self._announce(desc, t)
         qid = desc.query_id
         self.outcomes[qid] = QueryOutcome(descriptor=desc, issue_time=t)
-        timeout = t + TIMEOUT_FACTOR * (desc.ttl + 1) * self.sim.link.hop_delay
+        hop_delay = self.sim.link.hop_delay
+        timeout = min(t + TIMEOUT_FACTOR * (desc.ttl + 1) * hop_delay, self.sim.horizon)
         self.sim.schedule(timeout, EVENT_QUERY_EXPIRE, {"query_id": qid, "reason": "timeout"})
         if not desc.is_snapshot:
             if self.mode == MODE_CENTRALIZED:
@@ -478,7 +480,8 @@ class QueryProtocol:
     def _on_query_received(self, node_id: int, msg: Message, t: float) -> None:
         desc: QueryDescriptor = msg.payload
         qid = desc.query_id
-        if self._expired(desc, t) or self._is_issuer(node_id, qid):
+        # the issuer never gets here: the engine marks its own floods as seen
+        if self._expired(desc, t):
             return
         node = self.sim.nodes[node_id]
         state = node.query_buffer.get(qid)
@@ -524,8 +527,6 @@ class QueryProtocol:
             # plain relay on the reverse path, no local processing
             self.sim.reverse_forward(node_id, msg)
             return
-        if self._expired(state.descriptor, t):
-            return
         if self.mode == MODE_CENTRALIZED:
             # no pruning: relay every report toward the issuer
             self.sim.reverse_forward(node_id, msg)
@@ -567,7 +568,7 @@ class QueryProtocol:
 
     def _monitor_tick(self, node_id: int, state: SensorQueryState, t: float) -> None:
         """Refresh neighborhood knowledge and report prediction changes."""
-        if state.descriptor.is_snapshot or self._expired(state.descriptor, t):
+        if state.descriptor.is_snapshot:
             return
         self._sense_neighborhood(node_id, state, t)
         if state.replied:
@@ -602,9 +603,9 @@ class QueryProtocol:
         outcome.last_recompute = t
         outcome.recompute_scheduled = False
         desc = outcome.descriptor
-        t0, t_end = desc.window
-        if t > t_end:
+        if self._expired(desc, t):
             return
+        t0, t_end = desc.window
         center = self.sim.nodes[desc.issuer].plan.motion_state_at(t)
         if self.mode == MODE_CENTRALIZED:
             # raw reported positions, no extrapolation
@@ -680,9 +681,7 @@ class QueryProtocol:
         taker = self.sim.nodes[learner]
         for qid in sorted(giver.query_buffer):
             desc = giver.query_buffer[qid].descriptor
-            if desc.is_snapshot or self._expired(desc, t):
-                continue
-            if qid in taker.query_buffer or learner == desc.issuer:
+            if desc.is_snapshot or qid in taker.query_buffer or learner == desc.issuer:
                 continue
             state = SensorQueryState(descriptor=desc, replied=True)
             if not taker.store_query(qid, state):
@@ -692,20 +691,16 @@ class QueryProtocol:
 
     def _on_periodic_round(self, payload: dict, t: float) -> None:
         qid = payload["query_id"]
-        outcome = self.outcomes[qid]
-        if t >= outcome.descriptor.window[1]:
+        desc = self.outcomes[qid].descriptor
+        if self._expired(desc, t):
             return
         self._reflood(qid, t)
         for nid, node in self.sim.nodes.items():
-            if (
-                qid in node.query_buffer
-                and nid != outcome.descriptor.issuer
-                and node.attrs is not None
-            ):
+            if qid in node.query_buffer and nid != desc.issuer and node.attrs is not None:
                 record = self._sense(nid, t)
                 self._send_up(nid, qid, [record], MSG_UPDATE, initial=False)
         nxt = t + self.report_interval
-        if nxt < outcome.descriptor.window[1]:
+        if not self._expired(desc, nxt):
             self.sim.schedule(nxt, EVENT_PERIODIC, {"query_id": qid})
 
     def _on_expire(self, payload: dict, t: float) -> None:
@@ -724,4 +719,9 @@ class QueryProtocol:
 
     @staticmethod
     def _expired(desc: QueryDescriptor, t: float) -> bool:
-        return not desc.is_snapshot and t > desc.window[1]
+        """A continuous query is over from its window end on; a snapshot never expires.
+
+        The one end rule: no node stores a query from then on, and the
+        window-end event empties every buffer, so a held query is live.
+        """
+        return not desc.is_snapshot and t >= desc.window[1]

@@ -494,8 +494,8 @@ def test_criterion_8_determinism(tmp_path):
         payloads.append((out.read_bytes(), trace.read_bytes()))
     assert payloads[0] == payloads[1]
 
-    cont = replace(scenario2(), node_count=25)
-    lines1 = sweep(cont, "none", ["-"], replications=2)
-    lines2 = sweep(cont, "none", ["-"], replications=2)
+    cont = replace(scenario2(), node_count=25, replications=2)
+    lines1 = sweep(cont, "none", ["-"])
+    lines2 = sweep(cont, "none", ["-"])
     assert lines1 == lines2
     report(8, True, "CSV and trace byte-identical across consecutive invocations")

@@ -21,6 +21,7 @@ from rangeskyline.harness import (
     summarize,
     sweep,
     sweep_values,
+    world_horizon,
 )
 from rangeskyline.netsim import Simulator
 from rangeskyline.skyline import DataObject
@@ -146,9 +147,9 @@ def test_csv_row_shape():
 
 
 def test_sweep_is_byte_deterministic():
-    scen = small_snapshot()
-    lines1 = sweep(scen, "node_count", [20, 30], replications=2)
-    lines2 = sweep(scen, "node_count", [20, 30], replications=2)
+    scen = replace(small_snapshot(), replications=2)
+    lines1 = sweep(scen, "node_count", [20, 30])
+    lines2 = sweep(scen, "node_count", [20, 30])
     assert lines1 == lines2
     assert lines1[0] == CSV_HEADER
     # 2 values x 2 reps x 2 approaches
@@ -157,17 +158,17 @@ def test_sweep_is_byte_deterministic():
 
 def test_sweep_rejects_unknown_parameter():
     with pytest.raises(ValueError):
-        sweep(small_snapshot(), "warp_factor", [1], replications=1)
+        sweep(small_snapshot(), "warp_factor", [1])
 
 
 def test_summarize_single_rep_has_no_ci():
-    lines = sweep(small_snapshot(), "node_count", [20], replications=1)
+    lines = sweep(replace(small_snapshot(), replications=1), "node_count", [20])
     cells = summarize(lines, "msgs_total")
     assert all(c.ci95 is None and c.n == 1 for c in cells)
 
 
 def test_summarize_means_match_rows():
-    lines = sweep(small_snapshot(), "node_count", [20], replications=3)
+    lines = sweep(replace(small_snapshot(), replications=3), "node_count", [20])
     rows = [line.split(",") for line in lines[1:]]
     drsq_vals = [int(r[6]) for r in rows if r[1] == "drsq"]
     cells = {c.approach: c for c in summarize(lines, "msgs_total")}
@@ -269,6 +270,8 @@ def test_cli_rejects_unreadable_scenario(tmp_path):
         "packet_size_bits = -1024",
         "packet_size_bits = 0",
         "delta_t = -1",
+        # a window starting at 50 s would end where it starts: a snapshot
+        "delta_t = 1e-20",
         "query_range = 0",
         "transmission_range = 0",
         "delivery_prob = 0",
@@ -576,7 +579,8 @@ def test_untraced_runs_format_no_trace_line(monkeypatch, tmp_path):
     out, trace = tmp_path / "run.csv", tmp_path / "run.trace"
     args = [*LOSSY_ARGS, "--scenario", str(cfg), "--out", str(out)]
     monkeypatch.setattr(netsim, "trace_line", refuse)
-    rows = sweep(parse_config(LOSSY, base=scenario2()), "delivery_prob", [0.8], replications=1)
+    lossy = replace(parse_config(LOSSY, base=scenario2()), replications=1)
+    rows = sweep(lossy, "delivery_prob", [0.8])
     assert len(rows) == 3
     assert cli.main(args) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LOSSY_CSV_SHA
@@ -670,6 +674,18 @@ def test_a_snapshot_query_leaves_the_buffers_at_its_timeout(monkeypatch):
     monkeypatch.setattr(netsim.NodeRuntime, "store_query", counting)
     run_scenario(replace(scenario1(), query_count=80), "buf:0", "drsq")
     assert refused == []
+
+
+def test_a_query_whose_timeout_passes_the_horizon_settles_inside_the_run():
+    # 2 s hops: the centralized timeout, 4 * (5 + 1) hop delays after the
+    # issue at 46.3 s, lies past the 60 s horizon, and the collection never
+    # completes; the issuer answers at the run's end from the replies it holds
+    scen = replace(scenario1(), node_count=40, per_hop_latency=2.0)
+    (window,) = query_windows(scen, "fb:0")
+    (q,) = run_scenario(scen, "fb:0", "centralized").queries
+    assert q.accessed_objects > 0
+    assert q.response_time_s <= world_horizon(scen, "fb:0") - window[0]
+    assert q.recall > 0
 
 
 @pytest.mark.parametrize("approach", ["centralized", "dcrsq"])

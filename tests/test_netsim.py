@@ -2,6 +2,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter, deque
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,13 +116,19 @@ def test_flood_processes_each_node_once():
     coords = [(0, 0), (10, 0), (10, 10), (20, 5), (30, 5)]
     sim = build_sim(coords, r=16.0)
     hits = []
-    sim.on_message = lambda node, msg, t: hits.append(node)
+    sim.on_message = lambda node, msg, t: hits.append((msg.generation, node))
     sim.register(
-        EVENT_QUERY_ISSUE, lambda payload, t: sim.flood(0, query_msg(5))
+        EVENT_QUERY_ISSUE,
+        lambda payload, t: sim.flood(0, replace(query_msg(5), generation=payload["generation"])),
     )
-    sim.schedule(0.0, EVENT_QUERY_ISSUE, {"node": 0})
+    # two generations of the same query from the same origin
+    sim.schedule(0.0, EVENT_QUERY_ISSUE, {"node": 0, "generation": 0})
+    sim.schedule(1.0, EVENT_QUERY_ISSUE, {"node": 0, "generation": 1})
     sim.run()
     assert len(hits) == len(set(hits))
+    # every other node processes each generation; the origin, which marks
+    # its own floods as seen, processes neither
+    assert sorted(hits) == [(g, n) for g in (0, 1) for n in range(1, len(coords))]
 
 
 def test_reverse_parent_is_recorded_toward_origin():
