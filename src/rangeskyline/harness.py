@@ -38,6 +38,8 @@ from rangeskyline.protocols import (
 from rangeskyline.skyline import MAXIMIZE, MINIMIZE, AttributeVector
 
 APPROACHES = ("centralized", "drsq", "dcrsq")
+# query_windows draws each window start uniformly from [1, LATEST_WINDOW_START].
+LATEST_WINDOW_START = 50.0
 
 CSV_HEADER = (
     "scenario,approach,param,value,rep,response_time_s,msgs_total,"
@@ -99,10 +101,13 @@ class Scenario:
             raise ValueError("ttl_centralized must be >= 0")
         if self.delta_t < 0:
             raise ValueError("delta_t must be >= 0")
-        # query_windows draws starts up to 50 s; a window there must end after
-        # it starts, or the continuous query is a snapshot
-        if 0 < self.delta_t and 50.0 + self.delta_t == 50.0:
-            raise ValueError("delta_t must be 0 or large enough that 50.0 + delta_t > 50.0")
+        # a window at the latest start must end after it starts, or the
+        # continuous query is a snapshot
+        latest = LATEST_WINDOW_START
+        if 0 < self.delta_t and latest + self.delta_t == latest:
+            raise ValueError(
+                f"delta_t must be 0 or large enough that {latest} + delta_t > {latest}"
+            )
         if self.delta_t / self.report_interval > 1000:
             raise ValueError(
                 "report_interval: delta_t / report_interval (report rounds per window) "
@@ -138,14 +143,14 @@ class Scenario:
                 "transmission_range: (pi * transmission_range^2 * node_count / area)^ttl_cap "
                 "(nodes expected within ttl_cap hops) must be finite"
             ) from None
-        # world_horizon is at most max(sim_horizon, 51 + delta_t), and a mean
-        # leg is at least a third of the longer side: this bounds the legs a
-        # node expects to finish before the horizon
-        legs = 3 * max(self.sim_horizon, 51 + self.delta_t) * self.speed_max / max(w, h)
-        if legs > 1000:
+        # world_horizon is at most max(sim_horizon, latest + 1 + delta_t), and
+        # a mean leg is at least a third of the longer side: this bounds the
+        # legs a node expects to finish before the horizon
+        horizon = max(self.sim_horizon, latest + 1.0 + self.delta_t)
+        if 3 * horizon * self.speed_max / max(w, h) > 1000:
             raise ValueError(
-                "area_width, area_height: 3 * max(sim_horizon, 51 + delta_t) * speed_max "
-                "/ max(area_width, area_height) (a bound on the legs per node) "
+                f"area_width, area_height: 3 * max(sim_horizon, {latest + 1.0:g} + delta_t) "
+                "* speed_max / max(area_width, area_height) (a bound on the legs per node) "
                 "must not exceed 1000"
             )
         self.directions()
@@ -330,7 +335,7 @@ def query_windows(scenario: Scenario, seed: object) -> list[tuple[float, float]]
     out = []
     for k in range(scenario.query_count):
         rng = random.Random(f"{seed}:qwin:{k}")
-        t0 = rng.uniform(1.0, 50.0)
+        t0 = rng.uniform(1.0, LATEST_WINDOW_START)
         out.append((t0, t0 + scenario.delta_t))
     return out
 

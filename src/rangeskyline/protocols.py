@@ -108,27 +108,33 @@ def extend_timeline(out: Timeline, sky: frozenset, a: float, b: float) -> None:
         out.append((sky, (a, b)))
 
 
-def _carried(o: DataObject) -> tuple:
-    """The fields of o that the row builder reads, unpacked once per call."""
+def _carried(o: DataObject, payload: object) -> tuple:
+    """The fields of o that the row builder reads, unpacked once per call,
+    followed by the payload its skyline row carries."""
     return (
         o.position[0], o.position[1], o.velocity[0], o.velocity[1],
-        o.observed_at, o.attrs.canonical(), o,
+        o.observed_at, o.attrs.canonical(), payload,
     )
 
 
-def _skyline_at(center: MotionState, range_R: float, cands: list[tuple], t: float) -> frozenset:
-    """Range-skyline of the _carried candidates with positions advanced to t.
+def _skyline_at(center: MotionState, range_R: float, cands: list[tuple], t: float) -> list:
+    """Payloads of the range-skyline of the _carried candidates advanced to t.
 
     Builds the (distance, canonical attrs) rows for the shared skyline kernel;
     the hot inner loop of every segment evaluation.
     """
     cx, cy = position_at(center, t)
-    rows: list[tuple[float, tuple[float, ...], DataObject]] = []
-    for x, y, ux, uy, obs, key, o in cands:
+    rows: list[tuple[float, tuple[float, ...], object]] = []
+    for x, y, ux, uy, obs, key, payload in cands:
         d = math.hypot(x + ux * (t - obs) - cx, y + uy * (t - obs) - cy)
         if d <= range_R:
-            rows.append((d, key, o))
-    return frozenset(skyline_rows(rows))
+            rows.append((d, key, payload))
+    return skyline_rows(rows)
+
+
+def _dominated(key: tuple[float, ...], keys: list[tuple[float, ...]]) -> bool:
+    """Whether some canonical key in keys is no worse than key everywhere and not equal."""
+    return any(k != key and all(x <= y for x, y in zip(k, key)) for k in keys)
 
 
 def predict_timeline(
@@ -142,7 +148,14 @@ def predict_timeline(
 
     Segments break where a candidate's predicted in-range interval starts or
     ends and where two live candidates tie in distance to the center; within
-    a segment the skyline is constant, so it is evaluated at the midpoint.
+    a segment the skyline is constant.  The first segment is evaluated at its
+    midpoint, and so is each later one whose starting cut can change the
+    skyline: a member leaves or ties, or an entrant arrives that no member's
+    attributes dominate (no worse everywhere and not equal).  Any other
+    segment keeps the set before it: an entrant comes in at distance R,
+    farther than every member until a tie cut, and a non-member that leaves
+    or ties stays dominated by a closer member.  A segment whose midpoint
+    rounds onto one of its ends is evaluated, and so is the segment after it.
     Returns (frozenset of carried objects, (start, end)) pairs partitioning
     [max(now, window start), window end], coalescing equal neighbours.
     """
@@ -151,12 +164,18 @@ def predict_timeline(
     if lo > hi:
         return []
     if lo == hi:
-        return [(_skyline_at(center, range_R, [_carried(o) for o in objects], lo), (lo, hi))]
+        cands = [_carried(o, o) for o in objects]
+        return [(frozenset(_skyline_at(center, range_R, cands, lo)), (lo, hi))]
 
     cuts: set[float] = {lo, hi}
+    # The live candidates (by index) whose interval starts at a cut, and those
+    # whose interval ends or which tie another at it.
+    entered: dict[float, list[int]] = {}
+    touched: dict[float, list[int]] = {}
     # Offset p and velocity v of each live candidate relative to the center
     # at lo; their squared distance is |p|^2 + 2(p.v)t + |v|^2 t^2.
     live: list[tuple[float, float, float, float, float, tuple]] = []
+    found: list[DataObject] = []  # the object of each live candidate
     cx, cy = position_at(center, lo)
     cvx, cvy = center.velocity
     for o in objects:
@@ -168,18 +187,24 @@ def predict_timeline(
             continue
         cuts.add(enter)
         cuts.add(leave)
+        entered.setdefault(enter, []).append(len(live))
+        touched.setdefault(leave, []).append(len(live))
         px = o.position[0] + o.velocity[0] * (lo - o.observed_at) - cx
         py = o.position[1] + o.velocity[1] * (lo - o.observed_at) - cy
         vx = o.velocity[0] - cvx
         vy = o.velocity[1] - cvy
         live.append(
-            (enter, leave, vx * vx + vy * vy, px * vx + py * vy, px * px + py * py, _carried(o))
+            (enter, leave, vx * vx + vy * vy, px * vx + py * vy, px * px + py * py,
+             _carried(o, len(live)))
         )
+        found.append(o)
 
-    # Distance ties of two candidates while both are live cut the window.
+    # Distance ties of two candidates while both are live cut the window.  A
+    # tie at either end of that span falls on a cut already made, and is
+    # recorded so that a member tying an entrant as it arrives is re-evaluated.
     span = hi - lo
-    for i, (ea, la, va2, pva, p2a, _) in enumerate(live):
-        for eb, lb, vb2, pvb, p2b, _ in live[i + 1:]:
+    for i, (ea, la, va2, pva, p2a, ra) in enumerate(live):
+        for eb, lb, vb2, pvb, p2b, rb in live[i + 1:]:
             start = max(ea, eb)
             stop = min(la, lb)
             if start >= stop:
@@ -197,16 +222,29 @@ def predict_timeline(
             for r in roots:
                 if 0.0 < r < span:
                     t = lo + r
-                    if start < t < stop:
+                    if start <= t <= stop:
                         cuts.add(t)
+                        touched.setdefault(t, []).extend((ra[6], rb[6]))
 
     marks = sorted(cuts)
     out: Timeline = []
+    kept: set[int] = set()  # live indexes of the current skyline
+    fresh = False  # whether kept may carry over to the next segment
     for a, b in zip(marks, marks[1:]):
         mid = (a + b) / 2.0
-        members = [row for enter, leave, _, _, _, row in live if enter <= mid <= leave]
-        # members are in range by their safe intervals
-        extend_timeline(out, _skyline_at(center, INF, members, mid), a, b)
+        if not (
+            fresh
+            and a < mid < b
+            and kept.isdisjoint(touched.get(a, ()))
+            and all(_dominated(live[i][5][5], keys) for i in entered.get(a, ()))
+        ):
+            members = [row for enter, leave, _, _, _, row in live if enter <= mid <= leave]
+            # members are in range by their safe intervals
+            kept = set(_skyline_at(center, INF, members, mid))
+            keys = [live[i][5][5] for i in kept]
+            sky = frozenset(found[i] for i in kept)
+            fresh = a < mid < b
+        extend_timeline(out, sky, a, b)
     return out
 
 

@@ -106,7 +106,7 @@ def test_query_windows_deterministic_and_in_range():
     w2 = query_windows(scen, "pair")
     assert w1 == w2
     for t0, t_end in w1:
-        assert 1.0 <= t0 <= 50.0
+        assert 1.0 <= t0 <= harness.LATEST_WINDOW_START
         assert t_end == t0 + scen.delta_t
 
 
@@ -343,7 +343,8 @@ def test_the_leg_bound_holds_on_the_presets():
     # horizon, hence the one leg more
     for scen in (scenario1(), scenario2()):
         w, h = scen.area_width, scen.area_height
-        bound = 3 * max(scen.sim_horizon, 51 + scen.delta_t) * scen.speed_max / max(w, h)
+        horizon = max(scen.sim_horizon, harness.LATEST_WINDOW_START + 1.0 + scen.delta_t)
+        bound = 3 * horizon * scen.speed_max / max(w, h)
         legs = [len(node.plan.legs) for node in build_world(scen, "legs:0")]
         assert bound <= 4 and sum(legs) / len(legs) <= 1 + bound, (scen.name, bound)
 

@@ -61,20 +61,31 @@ def test_static_world_gives_single_interval():
     assert tl[0][0] == truth_at(nodes, 0, 100.0, 5.0)
 
 
+def assert_oracle_matches_dense_sampling(scen, seed):
+    nodes = build_world(scen, seed)
+    issuer = next(n for n in nodes if n.attrs is None)
+    window = (5.0, 15.0)
+    tl = oracle_timeline(nodes, issuer.id, scen.query_range, window)
+    t = window[0] + 0.005
+    while t < window[1]:
+        want = truth_at(nodes, issuer.id, scen.query_range, t)
+        assert value_at(tl, t) == want, f"seed {seed} t {t}"
+        t += 0.01
+    return tl
+
+
 def test_oracle_matches_dense_sampling_on_random_mobile_world():
     scen = replace(scenario2(), node_count=20)
     for seed in range(4):
-        nodes = build_world(scen, f"oracle:{seed}")
-        issuer = next(n for n in nodes if n.attrs is None)
-        window = (5.0, 15.0)
-        tl = oracle_timeline(nodes, issuer.id, scen.query_range, window)
-        others = [n for n in nodes if n.id != issuer.id]
-        t = window[0] + 0.005
-        while t < window[1]:
-            got = value_at(tl, t)
-            want = truth_at(nodes, issuer.id, scen.query_range, t)
-            assert got == want, f"seed {seed} t {t}"
-            t += 0.01
+        assert_oracle_matches_dense_sampling(scen, f"oracle:{seed}")
+
+
+def test_oracle_matches_dense_sampling_with_three_attributes():
+    # keys of three attributes: an entrant's skip rests on dominance of whole
+    # keys; ten to twenty candidates are in range at a time
+    scen = replace(scenario2(), node_count=100, attr_dims=3, attr_directions="min max min")
+    for seed in range(2):
+        assert len(assert_oracle_matches_dense_sampling(scen, f"oracle3:{seed}")) > 5
 
 
 def test_oracle_reads_plans_a_finished_simulator_left_at_later_instants():

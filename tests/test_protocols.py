@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1007,6 +1008,56 @@ def test_predict_timeline_equals_reference_bit_for_bit(inputs):
     # float bounds compare under ==, so a shifted cut fails
     got = _id_segments(predict_timeline(*inputs))
     assert got == _id_segments(reference_predict_timeline(*inputs))
+
+
+@pytest.mark.parametrize(
+    "objs, end, want, evaluated",
+    [
+        # 1 (static at 40 m) and 2 (50 m closing to 30 m) tie at t = 5; member
+        # 0 is nearer and better than both, so the segment after is not evaluated
+        pytest.param(
+            [carried(0, 10, 0, 0, 0, attr=0.0), carried(1, 40, 0, 0, 0, attr=1.0),
+             carried(2, 0, 50, 0, -2, attr=2.0)],
+            10.0, [({0}, (0.0, 10.0))], 1, id="dominated-pair-ties",
+        ),
+        # 1 passes member 0 at t = 5 and, nearer but worse, joins the skyline
+        pytest.param(
+            [carried(0, 40, 0, 0, 0, attr=0.0), carried(1, 0, 50, 0, -2, attr=1.0)],
+            10.0, [({0}, (0.0, 5.0)), ({0, 1}, (5.0, 10.0))], 2, id="member-ties",
+        ),
+        # 1 enters at t = 8, farther than member 0: dominated by 0's key, or not
+        pytest.param(
+            [carried(0, 10, 0, 0, 0, attr=0.0), carried(1, 0, 100, 0, -5, attr=1.0)],
+            12.0, [({0}, (0.0, 12.0))], 1, id="dominated-entrant",
+        ),
+        pytest.param(
+            [carried(0, 10, 0, 0, 0, attr=1.0), carried(1, 0, 100, 0, -5, attr=0.0)],
+            12.0, [({0}, (0.0, 8.0)), ({0, 1}, (8.0, 12.0))], 2, id="undominated-entrant",
+        ),
+        # member 0 sits on the range boundary, so entrant 1 ties it as it
+        # enters at t = 8 and is nearer from then on: the tie falls on 1's
+        # entry cut
+        pytest.param(
+            [carried(0, 60, 0, 0, 0, attr=0.0), carried(1, 0, 100, 0, -5, attr=1.0)],
+            20.0, [({0}, (0.0, 8.0)), ({0, 1}, (8.0, 20.0))], 2, id="boundary-member-ties-entrant",
+        ),
+    ],
+)
+def test_a_segment_is_evaluated_only_where_its_cut_can_change_the_skyline(
+    monkeypatch, objs, end, want, evaluated
+):
+    calls = []
+    skyline_at = protocols._skyline_at
+
+    def counting(center, range_R, cands, t):
+        calls.append(t)
+        return skyline_at(center, range_R, cands, t)
+
+    monkeypatch.setattr(protocols, "_skyline_at", counting)
+    inputs = (MotionState((0.0, 0.0), (0.0, 0.0), 0.0), 60.0, objs, (0.0, end), 0.0)
+    got = _id_segments(predict_timeline(*inputs))
+    assert got == _id_segments(reference_predict_timeline(*inputs)) == want
+    assert len(calls) == evaluated
 
 
 @settings(max_examples=400, deadline=None)
